@@ -7,11 +7,11 @@ from .estimator import (EstimateResult, EstimatorConfig, apply_threshold,
 from .signals import (EXPONENTIAL, GAUSSIAN, POISSON, NoiseModel, SeedSpec,
                       make_blocks, make_bumps, make_doppler, make_heavisine,
                       rescale_to_range, sample_noise, true_variance_function)
-from .varfn import (PreliminaryFit, TriangularKernel, VarFnConfig, VarianceEstimate,
-                    default_bandwidth, estimate_variance_function, nw_variance_raw,
-                    pava_isotone, preliminary_fit, running_mean)
+from .varfn import (PreliminaryFit, VarFnConfig, VarianceEstimate, default_bandwidth,
+                    estimate_variance_function, nw_variance_raw, pava_isotone,
+                    preliminary_fit, running_mean, triangular_kernel)
 from .vst import VstState, denoise_via_vst, forward_vst, inverse_vst
-from .wavelet import (CoeffPyramid, WaveletBasis, cyclic_shift, daubechies,
-                      dwt_forward, dwt_inverse, haar, local_means, wavelet_vector)
+from .wavelet import (CoeffPyramid, WaveletBasis, daubechies, dwt_forward, dwt_inverse,
+                      haar, local_means, wavelet_vector)
 
 __version__ = "0.1.0"

@@ -88,15 +88,14 @@ def _bandwidth(text: str):
     return b
 
 
-def _noise_model(args) -> NoiseModel:
-    return NoiseModel(args.noise, sigma=args.sigma) if args.noise == GAUSSIAN \
-        else NoiseModel(args.noise)
-
-
 _KNOWN_H = {
     "poisson": lambda u: np.asarray(u, dtype=float),
     "exponential": lambda u: np.asarray(u, dtype=float) ** 2,
 }
+
+
+def _varfn_config(args) -> VarFnConfig:
+    return VarFnConfig(half_window=args.M, bandwidth=args.bandwidth, grid_size=args.grid)
 
 
 def _estimator_config(args) -> EstimatorConfig:
@@ -114,9 +113,21 @@ def _estimator_config(args) -> EstimatorConfig:
         shift_stride=args.stride,
         basis=basis_by_name(args.basis),
         known_variance=known,
-        varfn=VarFnConfig(half_window=args.M, bandwidth=args.bandwidth,
-                          grid_size=args.grid),
+        varfn=_varfn_config(args),
     )
+
+
+def _simulate_config(args) -> tuple[NoiseModel, SeedSpec]:
+    noise = NoiseModel(args.noise, sigma=args.sigma) if args.noise == GAUSSIAN \
+        else NoiseModel(args.noise)
+    return noise, SeedSpec(args.seed, args.rep)
+
+
+def _bench_config(args) -> EstimatorConfig:
+    if args.reps < 1:
+        raise ValueError(f"reps must be >= 1, got {args.reps}")
+    SeedSpec(args.seed)  # rejects a master seed outside the stream keys
+    return _estimator_config(args)
 
 
 def _add_estimator_flags(p: argparse.ArgumentParser, default_m: int) -> None:
@@ -142,9 +153,10 @@ def _add_varfn_flags(p: argparse.ArgumentParser, default_m: int) -> None:
 
 # --------------------------------------------------------------- commands
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, cfg) -> int:
+    noise, seed = cfg
     truth = SIGNAL_GENERATORS[args.signal](args.n, args.min, args.max)
-    noisy = sample_noise(truth, _noise_model(args), SeedSpec(args.seed, args.rep))
+    noisy = sample_noise(truth, noise, seed)
     prefix = Path(args.out)
     header = [f"signal={args.signal} n={args.n} min={args.min} max={args.max}",
               f"noise={args.noise} sigma={args.sigma} seed={args.seed} rep={args.rep}"]
@@ -153,9 +165,8 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_estimate(args) -> int:
+def cmd_estimate(args, cfg: EstimatorConfig) -> int:
     x = read_series(args.input)
-    cfg = _estimator_config(args)
     if args.baseline:
         write_series(args.out, baseline_mad_estimate(x, cfg))
         return 0
@@ -178,9 +189,8 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-def cmd_varfn(args) -> int:
+def cmd_varfn(args, cfg: VarFnConfig) -> int:
     x = read_series(args.input)
-    cfg = VarFnConfig(half_window=args.M, bandwidth=args.bandwidth, grid_size=args.grid)
     est = estimate_variance_function(x, cfg)
     write_lines(args.out, est.as_lines())
     if args.emit_plots:
@@ -189,11 +199,9 @@ def cmd_varfn(args) -> int:
     return 0
 
 
-def cmd_vst(args) -> int:
+def cmd_vst(args, cfg: VarFnConfig) -> int:
     if args.mode == "forward":
         x = read_series(args.input)
-        cfg = VarFnConfig(half_window=args.M, bandwidth=args.bandwidth,
-                          grid_size=args.grid)
         hhat = estimate_variance_function(x, cfg)
         xt, state = forward_vst(x, hhat, basis_by_name(args.basis))
         write_series(args.out, xt)
@@ -236,17 +244,10 @@ class BenchReport:
 
 
 def _bench_worker(task) -> tuple[float, float]:
-    signal, noise, n, master_seed, rep, cfg_kw = task
+    signal, noise, n, master_seed, rep, cfg = task
     lo, hi = BENCH_RANGES[signal]
     truth = SIGNAL_GENERATORS[signal](n, lo, hi)
     x = sample_noise(truth, NoiseModel(noise), SeedSpec(master_seed, rep))
-    cfg = EstimatorConfig(
-        max_level=cfg_kw["jstar"], rule=cfg_kw["rule"],
-        translation_invariant=cfg_kw["ti"], shift_stride=cfg_kw["stride"],
-        basis=basis_by_name(cfg_kw["basis"]),
-        varfn=VarFnConfig(half_window=cfg_kw["M"], bandwidth=cfg_kw["bandwidth"],
-                          grid_size=cfg_kw["grid"]),
-    )
     wf = estimate(x, cfg).values
     base = baseline_mad_estimate(x, cfg)
     return float(np.mean((wf - truth) ** 2)), float(np.mean((base - truth) ** 2))
@@ -256,14 +257,14 @@ def worker_count() -> int:
     return max(1, int(os.environ.get("FISZKIT_THREADS", "1")))
 
 
-def run_bench(reps: int, n: int, master_seed: int, cfg_kw: dict) -> BenchReport:
+def run_bench(reps: int, n: int, master_seed: int, cfg: EstimatorConfig) -> BenchReport:
     """Run all four cells; deterministic regardless of worker count.
 
     Replication r uses the stream keyed by (master_seed, r), r = 1..reps,
     and results are gathered by task order, so parallelism cannot change
     the report.
     """
-    tasks = [(signal, noise, n, master_seed, rep, cfg_kw)
+    tasks = [(signal, noise, n, master_seed, rep, cfg)
              for signal, noise in BENCH_CELLS
              for rep in range(1, reps + 1)]
     workers = worker_count()
@@ -280,10 +281,8 @@ def run_bench(reps: int, n: int, master_seed: int, cfg_kw: dict) -> BenchReport:
     return BenchReport(reps, n, master_seed, mse)
 
 
-def cmd_bench(args) -> int:
-    cfg_kw = dict(jstar=args.jstar, rule=args.rule, ti=args.ti, stride=args.stride,
-                  basis=args.basis, M=args.M, bandwidth=args.bandwidth, grid=args.grid)
-    report = run_bench(args.reps, args.n, args.seed, cfg_kw)
+def cmd_bench(args, cfg: EstimatorConfig) -> int:
+    report = run_bench(args.reps, args.n, args.seed, cfg)
     write_lines(args.out, report.as_lines())
     return 0
 
@@ -305,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--rep", type=int, default=0)
     p.add_argument("--out", required=True, help="output prefix (writes <out>_truth.txt, <out>_noisy.txt)")
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, config=_simulate_config)
 
     p = sub.add_parser("estimate", help="denoise a series from a file")
     p.add_argument("--in", dest="input", required=True)
@@ -316,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use the running-MAD comparator instead")
     p.add_argument("--emit-plots", action="store_true")
     _add_estimator_flags(p, default_m=1)
-    p.set_defaults(func=cmd_estimate)
+    p.set_defaults(func=cmd_estimate, config=_estimator_config)
 
     p = sub.add_parser("varfn", help="estimate the mean-to-variance step function")
     p.add_argument("--in", dest="input", required=True)
@@ -324,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit-plots", action="store_true",
                    help="also write the square-root step function")
     _add_varfn_flags(p, default_m=3)
-    p.set_defaults(func=cmd_varfn)
+    p.set_defaults(func=cmd_varfn, config=_varfn_config)
 
     p = sub.add_parser("vst", help="variance-stabilise a series, or undo it")
     p.add_argument("mode", choices=("forward", "inverse"))
@@ -334,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="divisor file (written by forward, read by inverse)")
     p.add_argument("--basis", default="haar", choices=("haar", "daub4", "daub6", "daub8"))
     _add_varfn_flags(p, default_m=1)
-    p.set_defaults(func=cmd_vst)
+    p.set_defaults(func=cmd_vst, config=_varfn_config)
 
     p = sub.add_parser("bench", help="mean-squared-error table over seeded replications")
     p.add_argument("--reps", type=int, required=True)
@@ -342,15 +341,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     _add_estimator_flags(p, default_m=1)
-    p.set_defaults(func=cmd_bench)
+    p.set_defaults(func=cmd_bench, config=_bench_config)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # Flags are turned into config objects before any file is read, so a
+    # value the configs reject is a usage error (exit 2), not a data error.
     try:
-        return args.func(args)
+        cfg = args.config(args)
+    except ValueError as exc:
+        parser.error(str(exc))
+    try:
+        return args.func(args, cfg)
     except (OSError, ValueError) as exc:
         print(f"fiszkit: error: {exc}", file=sys.stderr)
         return 3

@@ -33,6 +33,7 @@ __all__ = [
     "universal_factor",
     "soft_threshold",
     "hard_threshold",
+    "coefficient_sd",
     "thresholds_known_h",
     "thresholds_data_driven",
     "apply_threshold",
@@ -91,6 +92,8 @@ class EstimatorConfig:
             raise ValueError(f"rule must be 'soft' or 'hard', got {self.rule!r}")
         if self.shift_stride < 1:
             raise ValueError("shift_stride must be >= 1")
+        if self.max_level is not None and self.max_level < 1:
+            raise ValueError(f"max_level must be >= 1, got {self.max_level}")
 
     def resolve_max_level(self, n_levels: int) -> int:
         ml = self.max_level if self.max_level is not None else max(1, n_levels - 2)
@@ -101,7 +104,12 @@ class EstimatorConfig:
 
 @dataclass
 class EstimateResult:
-    """Denoised signal plus the thresholding evidence of the unshifted pass."""
+    """Denoised signal plus the thresholding evidence of the unshifted pass.
+
+    ``survivors[j]`` marks the level-j coefficients that are nonzero after
+    thresholding. For a threshold lam > 0 that is |d| >= lam under the hard
+    rule and |d| > lam under the soft rule.
+    """
 
     values: np.ndarray
     thresholds: list[np.ndarray]
@@ -110,23 +118,27 @@ class EstimateResult:
     shifts_averaged: int
 
 
+def coefficient_sd(lm: list[np.ndarray], h: Callable, levels: int) -> list[np.ndarray]:
+    """Noise sd sqrt(h(local mean)) of every detail coefficient at levels < ``levels``."""
+    out = []
+    for j in range(levels):
+        hv = np.asarray(h(lm[j]), dtype=float)
+        if not (0 <= hv.min() and hv.max() < np.inf):  # also rejects NaN
+            raise ValueError(f"variance map returned negative or non-finite values at level {j}")
+        out.append(np.sqrt(hv))
+    return out
+
+
 def thresholds_known_h(lm: list[np.ndarray], h: Callable, max_level: int) -> list[np.ndarray]:
     """Per-coefficient thresholds sqrt(h(local mean)) * sqrt(2 log N)."""
     factor = universal_factor(max_level)
-    out = []
-    for j in range(max_level):
-        hv = np.asarray(h(lm[j]), dtype=float)
-        if np.any(hv < 0):
-            raise ValueError(f"variance map returned negative values at level {j}")
-        out.append(np.sqrt(hv) * factor)
-    return out
+    return [sd * factor for sd in coefficient_sd(lm, h, max_level)]
 
 
 def thresholds_data_driven(lm: list[np.ndarray], hhat: VarianceEstimate,
                            max_level: int) -> list[np.ndarray]:
-    """Same as :func:`thresholds_known_h` with the fitted step function."""
-    factor = universal_factor(max_level)
-    return [np.sqrt(hhat.query(lm[j])) * factor for j in range(max_level)]
+    """:func:`thresholds_known_h` with the fitted step function."""
+    return thresholds_known_h(lm, hhat.query, max_level)
 
 
 def apply_threshold(p: CoeffPyramid, thresholds: list[np.ndarray], rule: str,
@@ -145,20 +157,10 @@ def apply_threshold(p: CoeffPyramid, thresholds: list[np.ndarray], rule: str,
         lam = np.asarray(thresholds[j], dtype=float)
         if lam.shape != d.shape:
             raise ValueError(f"threshold level {j} has shape {lam.shape}, expected {d.shape}")
-        if np.any(lam < 0):
-            raise ValueError(f"negative threshold at level {j}")
+        if not np.all(lam >= 0):
+            raise ValueError(f"negative or NaN threshold at level {j}")
         details.append(shrink(d, lam))
     return CoeffPyramid(details, p.smooth)
-
-
-def _survivor_mask(p: CoeffPyramid, thresholds, rule, max_level) -> list[np.ndarray]:
-    masks = []
-    for j in range(max_level):
-        if rule == "hard":
-            masks.append(np.abs(p.details[j]) >= thresholds[j])
-        else:
-            masks.append(np.abs(p.details[j]) > thresholds[j])
-    return masks
 
 
 def _shift_list(n: int, cfg: EstimatorConfig) -> range:
@@ -188,8 +190,8 @@ def _denoise_shifts(x, cfg, threshold_fn):
         acc += np.roll(y, -s) if s else y
         if s == 0:
             first_thr = thr
-            first_surv = _survivor_mask(p, thr, cfg.rule, max_level)
-    return acc / len(shifts), first_thr, first_surv, len(shifts), max_level
+            first_surv = [q.details[j] != 0 for j in range(max_level)]
+    return acc / len(shifts), first_thr, first_surv, len(shifts)
 
 
 def estimate(x, cfg: EstimatorConfig | None = None) -> EstimateResult:
@@ -201,19 +203,14 @@ def estimate(x, cfg: EstimatorConfig | None = None) -> EstimateResult:
     cfg = cfg or EstimatorConfig()
     x = as_signal(x)
     max_level = cfg.resolve_max_level(x.size.bit_length() - 1)
-    if cfg.known_variance is not None:
-        h_used = cfg.known_variance
+    fitted = None if cfg.known_variance else estimate_variance_function(x, cfg.varfn)
+    h = cfg.known_variance or fitted.query
 
-        def threshold_fn(_p, xs):
-            return thresholds_known_h(local_means(xs, cfg.basis), h_used, max_level)
-    else:
-        h_used = estimate_variance_function(x, cfg.varfn)
+    def threshold_fn(_p, xs):
+        return thresholds_known_h(local_means(xs, cfg.basis), h, max_level)
 
-        def threshold_fn(_p, xs):
-            return thresholds_data_driven(local_means(xs, cfg.basis), h_used, max_level)
-
-    values, thr, surv, n_shifts, _ = _denoise_shifts(x, cfg, threshold_fn)
-    return EstimateResult(values, thr, surv, h_used, n_shifts)
+    values, thr, surv, n_shifts = _denoise_shifts(x, cfg, threshold_fn)
+    return EstimateResult(values, thr, surv, cfg.known_variance or fitted, n_shifts)
 
 
 def _running_mad(values: np.ndarray, window: int) -> np.ndarray:
@@ -246,5 +243,4 @@ def baseline_mad_estimate(x, cfg: EstimatorConfig | None = None) -> np.ndarray:
         return [MAD_TO_SIGMA * _running_mad(p.details[j], _mad_window(j)) * factor
                 for j in range(max_level)]
 
-    values, _, _, _, _ = _denoise_shifts(x, cfg, threshold_fn)
-    return values
+    return _denoise_shifts(x, cfg, threshold_fn)[0]

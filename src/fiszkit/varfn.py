@@ -10,7 +10,7 @@ is a step function that can be queried at any mean value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -18,7 +18,7 @@ import numpy as np
 from .signals import as_signal
 
 __all__ = [
-    "TriangularKernel",
+    "triangular_kernel",
     "PreliminaryFit",
     "VarFnConfig",
     "VarianceEstimate",
@@ -33,16 +33,10 @@ __all__ = [
 _TINY_FLOOR = 1e-20
 
 
-@dataclass(frozen=True)
-class TriangularKernel:
+def triangular_kernel(v) -> np.ndarray:
     """Triangle on [-1/2, 1/2]: peak 2 at the origin, unit integral."""
-
-    halfwidth: float = 0.5
-    lipschitz_const: float = 4.0
-
-    def __call__(self, v) -> np.ndarray:
-        v = np.abs(np.asarray(v, dtype=float))
-        return np.where(v <= self.halfwidth, 2.0 - 4.0 * v, 0.0)
+    v = np.abs(np.asarray(v, dtype=float))
+    return np.where(v <= 0.5, 2.0 - 4.0 * v, 0.0)
 
 
 def running_mean(x, half_window: int) -> np.ndarray:
@@ -75,13 +69,6 @@ def preliminary_fit(x, half_window: int) -> PreliminaryFit:
     return PreliminaryFit(fit, (x - fit) ** 2, half_window)
 
 
-def _kernel_weights(alpha_hat, bandwidth, kernel, grid_u):
-    if bandwidth <= 0:
-        raise ValueError(f"bandwidth must be positive, got {bandwidth}")
-    grid_u = np.asarray(grid_u, dtype=float)
-    return kernel((alpha_hat[None, :] - grid_u[:, None]) / bandwidth)
-
-
 def _fill_from_nearest(values: np.ndarray, populated: np.ndarray) -> np.ndarray:
     """Replace unpopulated entries by the nearest populated one (left on ties)."""
     if populated.all():
@@ -101,19 +88,21 @@ def _fill_from_nearest(values: np.ndarray, populated: np.ndarray) -> np.ndarray:
 
 
 def nw_variance_raw(fit: PreliminaryFit, bandwidth: float,
-                    kernel: Optional[TriangularKernel], grid_u) -> np.ndarray:
+                    grid_u) -> tuple[np.ndarray, np.ndarray]:
     """Kernel-weighted mean of squared residuals at each grid point.
 
-    Grid points receiving no kernel mass are filled from the nearest
-    populated neighbour.
+    Returns the values and the mask of grid points that received kernel
+    mass; the others are filled from the nearest populated neighbour.
     """
-    kernel = kernel or TriangularKernel()
-    w = _kernel_weights(fit.alpha_hat, bandwidth, kernel, grid_u)
+    if bandwidth <= 0:
+        raise ValueError(f"bandwidth must be positive, got {bandwidth}")
+    grid_u = np.asarray(grid_u, dtype=float)
+    w = triangular_kernel((fit.alpha_hat[None, :] - grid_u[:, None]) / bandwidth)
     mass = w.sum(axis=1)
     populated = mass > 0
     raw = np.zeros(mass.size)
     raw[populated] = (w @ fit.residuals_sq)[populated] / mass[populated]
-    return _fill_from_nearest(raw, populated)
+    return _fill_from_nearest(raw, populated), populated
 
 
 def pava_isotone(values, weights=None) -> np.ndarray:
@@ -177,7 +166,6 @@ class VarFnConfig:
     bandwidth: Union[float, str] = "auto"
     grid_size: int = 256
     floor_eps: Optional[float] = None
-    kernel: TriangularKernel = field(default_factory=TriangularKernel)
 
     def __post_init__(self):
         if self.half_window < 0:
@@ -208,9 +196,9 @@ class VarianceEstimate:
 
     def query(self, u):
         """Step lookup: value at the largest knot <= u, clamped at the ends."""
-        u_arr = np.asarray(u, dtype=float)
-        idx = np.clip(np.searchsorted(self.grid_u, u_arr, side="right") - 1,
-                      0, self.values.size - 1)
+        # Searching the knots after the first sends every u below the second
+        # knot, including u below the grid, to index 0.
+        idx = np.searchsorted(self.grid_u[1:], np.asarray(u, dtype=float), side="right")
         out = self.values[idx]
         return float(out) if np.isscalar(u) else out
 
@@ -254,12 +242,10 @@ def estimate_variance_function(x, cfg: VarFnConfig | None = None) -> VarianceEst
         bandwidth = default_bandwidth(fit.alpha_hat, cfg.grid_size)
     else:
         bandwidth = float(cfg.bandwidth)
-    w = _kernel_weights(fit.alpha_hat, bandwidth, cfg.kernel, grid)
-    mass = w.sum(axis=1)
-    populated = mass > 0
-    raw = np.zeros(mass.size)
-    raw[populated] = (w @ fit.residuals_sq)[populated] / mass[populated]
-    raw = _fill_from_nearest(raw, populated)
+    raw, populated = nw_variance_raw(fit, bandwidth, grid)
+    if not np.all(np.isfinite(raw)):
+        raise ValueError("smoothed variance is not finite: squared residuals overflow "
+                         "at this data scale")
     iso = pava_isotone(raw)
     if cfg.floor_eps is not None:
         floor_eps = float(cfg.floor_eps)

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .estimator import EstimatorConfig, apply_threshold, universal_factor
+from .estimator import EstimatorConfig, apply_threshold, coefficient_sd, universal_factor
 from .signals import as_signal
 from .varfn import VarianceEstimate, estimate_variance_function
 from .wavelet import (CoeffPyramid, WaveletBasis, basis_by_name, dwt_forward,
@@ -39,7 +39,7 @@ class VstState:
             d = np.asarray(d, dtype=float)
             if d.shape != (1 << j,):
                 raise ValueError(f"divisor level {j} must hold {1 << j} values")
-            if np.any(d <= 0):
+            if not np.all(d > 0):
                 raise ValueError(f"divisors must be strictly positive (level {j})")
             self.divisors[j] = d
 
@@ -52,7 +52,7 @@ def forward_vst(x, hhat: VarianceEstimate,
     p = dwt_forward(x, basis)
     lm = local_means(x, basis)
     floor = np.sqrt(hhat.floor_eps)
-    divisors = [np.maximum(np.sqrt(hhat.query(lm[j])), floor) for j in range(p.n_levels)]
+    divisors = [np.maximum(sd, floor) for sd in coefficient_sd(lm, hhat.query, p.n_levels)]
     q = CoeffPyramid([d / div for d, div in zip(p.details, divisors)], p.smooth)
     return dwt_inverse(q, basis), VstState(divisors, basis, hhat)
 

@@ -31,7 +31,6 @@ __all__ = [
     "dwt_forward",
     "dwt_inverse",
     "local_means",
-    "cyclic_shift",
     "wavelet_vector",
 ]
 
@@ -89,10 +88,6 @@ class WaveletBasis:
             if abs(np.dot(g[: -2 * s], g[2 * s:])) > 1e-10:
                 raise ValueError(f"filter {self.name!r} violates even-shift orthogonality")
 
-    @property
-    def length(self) -> int:
-        return len(self.lowpass)
-
     def filter_pair(self) -> tuple[np.ndarray, np.ndarray]:
         """Return (lowpass, highpass) as arrays; highpass is the alternating flip."""
         g = np.asarray(self.lowpass, dtype=float)
@@ -143,50 +138,8 @@ class CoeffPyramid:
     def n_levels(self) -> int:
         return len(self.details)
 
-    @property
-    def n(self) -> int:
-        return 1 << self.n_levels
-
-    def copy(self) -> "CoeffPyramid":
-        return CoeffPyramid([d.copy() for d in self.details], self.smooth)
-
     def energy(self) -> float:
         return self.smooth**2 + sum(float(np.sum(d**2)) for d in self.details)
-
-    def as_lines(self) -> list[str]:
-        """Debug serialisation: one ``j k value`` line per coefficient."""
-        lines = [f"-1 1 {self.smooth:.17g}"]
-        for j, d in enumerate(self.details):
-            lines.extend(f"{j} {k + 1} {v:.17g}" for k, v in enumerate(d))
-        return lines
-
-    @classmethod
-    def from_lines(cls, lines) -> "CoeffPyramid":
-        entries = {}
-        smooth = None
-        for line in lines:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            j_s, k_s, v_s = line.split()
-            j, k, v = int(j_s), int(k_s), float(v_s)
-            if j == -1:
-                smooth = v
-            else:
-                entries[(j, k)] = v
-        if smooth is None:
-            raise ValueError("missing smooth coefficient line (-1 1 value)")
-        n_levels = 1 + max((j for j, _ in entries), default=-1)
-        details = []
-        for j in range(n_levels):
-            d = np.empty(1 << j)
-            for k in range(1 << j):
-                try:
-                    d[k] = entries[(j, k + 1)]
-                except KeyError:
-                    raise ValueError(f"missing coefficient ({j}, {k + 1})") from None
-            details.append(d)
-        return cls(details, smooth)
 
 
 def _analysis_step(approx: np.ndarray, g: np.ndarray, h: np.ndarray):
@@ -233,11 +186,6 @@ def dwt_inverse(p: CoeffPyramid, basis: WaveletBasis | None = None) -> np.ndarra
             raise ValueError("malformed pyramid: level sizes must double")
         approx = _synthesis_step(approx, detail, g, h)
     return approx
-
-
-def cyclic_shift(x, s: int) -> np.ndarray:
-    """Rotate ``x`` periodically by ``s`` positions (s=1 sends x[-1] to the front)."""
-    return np.roll(np.asarray(x, dtype=float), s)
 
 
 def wavelet_vector(basis: WaveletBasis, n: int, j: int, k: int) -> np.ndarray:

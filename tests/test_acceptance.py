@@ -33,9 +33,7 @@ def report(criterion, ok, detail):
 def bench_report():
     # seeds 1..100 via replication streams keyed off master seed 1; shift
     # thinning (128 of 2048 shifts) keeps the run inside the time budget
-    cfg_kw = dict(jstar=None, rule="hard", ti=True, stride=16, basis="haar",
-                  M=1, bandwidth="auto", grid=256)
-    return run_bench(reps=100, n=2048, master_seed=1, cfg_kw=cfg_kw)
+    return run_bench(reps=100, n=2048, master_seed=1, cfg=EstimatorConfig(shift_stride=16))
 
 
 def test_criterion_1_benchmark_ordering(bench_report):

@@ -106,6 +106,56 @@ class TestEstimate:
         assert read_series(tmp_path / "b.txt").size == 256
 
 
+INVALID_FLAGS = [
+    ["simulate", "--signal", "blocks", "--n", 64, "--min", 1, "--max", 2,
+     "--noise", "poisson", "--seed", -1],
+    ["simulate", "--signal", "blocks", "--n", 64, "--min", 1, "--max", 2,
+     "--noise", "poisson", "--seed", 1, "--rep", -1],
+    ["estimate", "--stride", 0],
+    ["estimate", "--jstar", 0],
+    ["estimate", "--grid", 1],
+    ["estimate", "--M", -1],
+    ["varfn", "--M", -1],
+    ["vst", "forward", "--divisors", "d.txt", "--grid", 1],
+    ["bench", "--reps", 0, "--seed", 1],
+    ["bench", "--reps", 1, "--seed", -1],
+    ["bench", "--reps", 1, "--seed", 1, "--stride", 0],
+]
+
+
+@pytest.mark.parametrize("argv", INVALID_FLAGS, ids=lambda a: " ".join(map(str, a)))
+def test_invalid_flag_value_is_usage_error(argv, tmp_path):
+    argv = list(argv) + ["--out", tmp_path / "out"]
+    if argv[0] in ("estimate", "varfn", "vst"):
+        argv += ["--in", tmp_path / "missing.txt"]  # flags are checked before any read
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_jstar_deeper_than_input_is_data_error(poisson_file, tmp_path):
+    assert run_cli(["estimate", "--in", poisson_file, "--out", tmp_path / "o.txt",
+                    "--jstar", 99]) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--no-ti"],
+    ["estimate", "--no-ti", "--known-h", "exponential"],
+    ["varfn"],
+    ["vst", "forward", "--divisors", "div.txt"],
+], ids=" ".join)
+def test_overflowing_data_is_data_error(argv, poisson_file, tmp_path):
+    huge = tmp_path / "in" / "huge.txt"
+    huge.parent.mkdir()
+    write_series(huge, read_series(poisson_file) * 1e300)
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = [a if a != "div.txt" else out / a for a in argv]
+    assert run_cli(argv + ["--in", huge, "--out", out / "o.txt"]) == 3
+    assert list(out.iterdir()) == []
+
+
 class TestVarfn:
     def test_step_function_round_trips(self, poisson_file, tmp_path):
         out = tmp_path / "h.txt"

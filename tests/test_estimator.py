@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fiszkit import (EstimatorConfig, NoiseModel, SeedSpec, VarianceEstimate,
                      apply_threshold, baseline_mad_estimate, dwt_forward,
@@ -54,6 +57,12 @@ class TestThresholdBuilders:
         lm = local_means(np.full(8, 1.0))
         with pytest.raises(ValueError):
             thresholds_known_h(lm, lambda u: np.asarray(u) - 5.0, 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_variance_rejected(self, bad):
+        lm = local_means(np.full(8, 1.0))
+        with pytest.raises(ValueError):
+            thresholds_known_h(lm, lambda u: np.full_like(np.asarray(u), bad), 2)
 
     def test_data_driven_matches_known_at_step_function(self):
         rng = np.random.default_rng(50)
@@ -141,6 +150,8 @@ class TestApplyThreshold:
         with pytest.raises(ValueError):
             apply_threshold(p, [np.array([-0.1])], "hard", 1)
         with pytest.raises(ValueError):
+            apply_threshold(p, [np.array([np.nan])], "hard", 1)
+        with pytest.raises(ValueError):
             apply_threshold(p, [np.zeros(1)], "hard", 2)  # missing level 1
         with pytest.raises(ValueError):
             apply_threshold(p, [np.zeros(1), np.zeros(3)], "hard", 2)  # wrong shape
@@ -182,6 +193,22 @@ class TestEstimate:
         for j, mask in enumerate(res.survivors):
             np.testing.assert_array_equal(mask, np.abs(p.details[j]) >= res.thresholds[j])
 
+    @given(st.sampled_from(["hard", "soft"]),
+           st.integers(3, 8).flatmap(lambda depth: arrays(
+               float, 1 << depth, elements=st.floats(-50.0, 50.0))),
+           st.floats(0.01, 10.0), st.floats(0.0, 2.0))
+    def test_survivor_mask_definition_property(self, rule, x, c0, c2):
+        # positive variance map, so every threshold is > 0
+        cfg = EstimatorConfig(rule=rule, max_level=x.size.bit_length() - 2,
+                              translation_invariant=False,
+                              known_variance=lambda u: c0 + c2 * np.asarray(u) ** 2)
+        res = estimate(x, cfg)
+        p = dwt_forward(x)
+        for j, (mask, lam) in enumerate(zip(res.survivors, res.thresholds)):
+            assert np.all(lam > 0)
+            d = np.abs(p.details[j])
+            np.testing.assert_array_equal(mask, d >= lam if rule == "hard" else d > lam)
+
     def test_scale_equivariance_square_law(self):
         truth = make_bumps(512, 3.0, 23.21)
         cfg = EstimatorConfig(known_variance=H_SQUARE, translation_invariant=False)
@@ -213,11 +240,21 @@ class TestEstimate:
         for a, b in zip(res.thresholds, want):
             np.testing.assert_array_equal(a, b)
 
+    def test_overflowing_data_rejected(self):
+        x = sample_noise(make_blocks(256, 1.0, 22.6), NoiseModel("poisson"), SeedSpec(64, 1))
+        with pytest.raises(ValueError):
+            estimate(x * 1e300, EstimatorConfig(translation_invariant=False))
+        with pytest.raises(ValueError):
+            estimate(x * 1e300, EstimatorConfig(known_variance=H_SQUARE,
+                                                translation_invariant=False))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             EstimatorConfig(rule="block")
         with pytest.raises(ValueError):
             EstimatorConfig(shift_stride=0)
+        with pytest.raises(ValueError):
+            EstimatorConfig(max_level=0)
         with pytest.raises(ValueError):
             estimate(np.ones(8), EstimatorConfig(max_level=4))  # depth is 3
 

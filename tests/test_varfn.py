@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from fiszkit import (NoiseModel, SeedSpec, TriangularKernel, VarFnConfig,
-                     VarianceEstimate, default_bandwidth,
-                     estimate_variance_function, make_blocks, nw_variance_raw,
-                     pava_isotone, preliminary_fit, running_mean, sample_noise)
+from fiszkit import (NoiseModel, SeedSpec, VarFnConfig, VarianceEstimate,
+                     default_bandwidth, estimate_variance_function, make_blocks,
+                     nw_variance_raw, pava_isotone, preliminary_fit, running_mean,
+                     sample_noise, triangular_kernel)
+from fiszkit.varfn import PreliminaryFit
 
 
 def nw_oracle(alpha_hat, resid_sq, b, grid):
@@ -60,7 +64,7 @@ class TestRunningMean:
 
 class TestKernelSmoother:
     def test_kernel_shape(self):
-        k = TriangularKernel()
+        k = triangular_kernel
         assert k(0.0) == 2.0
         assert k(0.5) == 0.0
         assert k(0.6) == 0.0
@@ -72,12 +76,13 @@ class TestKernelSmoother:
         fit = preliminary_fit(np.full(32, 2.0) + np.tile([0.5, -0.5], 16), 1)
         fit.residuals_sq[:] = 3.0
         grid = np.linspace(fit.alpha_hat.min(), fit.alpha_hat.max(), 16)
-        np.testing.assert_allclose(nw_variance_raw(fit, 0.5, None, grid), 3.0)
+        values, populated = nw_variance_raw(fit, 0.5, grid)
+        np.testing.assert_allclose(values, 3.0)
+        assert populated.all()
 
     def test_single_cluster_average(self):
-        from fiszkit.varfn import PreliminaryFit
         fit = PreliminaryFit(np.array([5.0, 5.0]), np.array([1.0, 3.0]), 0)
-        assert nw_variance_raw(fit, 1.0, None, np.array([5.0]))[0] == pytest.approx(2.0)
+        assert nw_variance_raw(fit, 1.0, np.array([5.0]))[0][0] == pytest.approx(2.0)
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(31)
@@ -85,25 +90,41 @@ class TestKernelSmoother:
         fit = preliminary_fit(np.sort(x), 2)  # sorted keeps every grid point populated
         grid = np.linspace(fit.alpha_hat.min(), fit.alpha_hat.max(), 40)
         b = 2.0
-        got = nw_variance_raw(fit, b, None, grid)
+        got, _ = nw_variance_raw(fit, b, grid)
         want = nw_oracle(fit.alpha_hat, fit.residuals_sq, b, grid)
         assert not np.any(np.isnan(want))
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_location_equivariance(self):
         rng = np.random.default_rng(32)
-        from fiszkit.varfn import PreliminaryFit
         a = rng.uniform(0.0, 4.0, size=50)
         r = rng.uniform(0.0, 2.0, size=50)
         grid = np.linspace(0.0, 4.0, 21)
-        base = nw_variance_raw(PreliminaryFit(a, r, 0), 0.7, None, grid)
-        moved = nw_variance_raw(PreliminaryFit(a + 11.5, r, 0), 0.7, None, grid + 11.5)
+        base, _ = nw_variance_raw(PreliminaryFit(a, r, 0), 0.7, grid)
+        moved, _ = nw_variance_raw(PreliminaryFit(a + 11.5, r, 0), 0.7, grid + 11.5)
         np.testing.assert_allclose(moved, base, rtol=1e-12)
 
     def test_nonpositive_bandwidth_rejected(self):
         fit = preliminary_fit(np.arange(8.0) + 1, 1)
         with pytest.raises(ValueError):
-            nw_variance_raw(fit, 0.0, None, np.array([1.0]))
+            nw_variance_raw(fit, 0.0, np.array([1.0]))
+
+    @given(st.integers(1, 24).flatmap(lambda n: st.tuples(
+               arrays(float, n, elements=st.floats(0.0, 10.0)),
+               arrays(float, n, elements=st.floats(0.0, 5.0)))),
+           arrays(float, st.integers(1, 12), elements=st.floats(-1.0, 11.0)),
+           st.floats(0.05, 5.0))
+    def test_matches_oracle_property(self, data, grid, b):
+        alpha, resid = data
+        fit = PreliminaryFit(alpha, resid, 0)
+        want = nw_oracle(alpha, resid, b, grid)
+        if np.all(np.isnan(want)):
+            with pytest.raises(ValueError):
+                nw_variance_raw(fit, b, grid)
+            return
+        got, populated = nw_variance_raw(fit, b, grid)
+        np.testing.assert_array_equal(populated, ~np.isnan(want))
+        np.testing.assert_allclose(got[populated], want[populated], rtol=1e-12, atol=0)
 
 
 class TestPava:
@@ -121,6 +142,13 @@ class TestPava:
             v = rng.normal(size=n)
             w = rng.uniform(0.2, 3.0, size=n)
             np.testing.assert_array_equal(pava_isotone(v, w), pava_oracle(v, w))
+
+    @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+        arrays(float, n, elements=st.floats(-100.0, 100.0)),
+        arrays(float, n, elements=st.floats(0.01, 100.0)))))
+    def test_matches_partition_oracle_property(self, data):
+        v, w = data
+        np.testing.assert_allclose(pava_isotone(v, w), pava_oracle(v, w), rtol=1e-12, atol=1e-12)
 
     def test_idempotent(self):
         rng = np.random.default_rng(34)
@@ -183,6 +211,13 @@ class TestEstimatePipeline:
         assert np.all(np.diff(q) >= 0)
         assert np.all((q >= 1e-8) & (q <= 9.0))
 
+    @given(arrays(float, st.integers(1, 6), elements=st.floats(-5.0, 5.0)).map(np.sort),
+           st.floats(-10.0, 10.0))
+    def test_query_is_largest_knot_at_or_below(self, grid, u):
+        est = VarianceEstimate(grid, np.arange(grid.size, dtype=float), 1e-9)
+        below = [i for i, g in enumerate(grid) if g <= u]
+        assert est.query(u) == (below[-1] if below else 0)
+
     def test_pava_stage_identity_on_monotone_grid(self):
         v = np.array([0.5, 0.5, 1.0, 2.0, 2.0, 3.5])
         np.testing.assert_array_equal(pava_isotone(v), v)
@@ -204,6 +239,12 @@ class TestEstimatePipeline:
         np.testing.assert_array_equal(back.values, est.values)
         assert back.floor_eps == est.floor_eps
         assert back.bandwidth == est.bandwidth
+
+    def test_overflowing_residuals_rejected(self):
+        truth = make_blocks(256, 1.0, 22.6)
+        x = sample_noise(truth, NoiseModel("poisson"), SeedSpec(43, 1)) * 1e300
+        with pytest.raises(ValueError, match="not finite"):
+            estimate_variance_function(x)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

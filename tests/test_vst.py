@@ -73,6 +73,13 @@ class TestForwardInverse:
             VstState([np.array([0.0])], haar())
         with pytest.raises(ValueError):
             VstState([np.ones(2)], haar())
+        with pytest.raises(ValueError):
+            VstState([np.array([np.nan])], haar())
+
+    def test_non_finite_variance_rejected(self):
+        hhat = VarianceEstimate(np.array([0.0, 1.0]), np.array([1.0, np.inf]), 1e-12)
+        with pytest.raises(ValueError):
+            forward_vst(np.linspace(0.5, 1.5, 16), hhat)
 
 
 class TestThreeStepRoute:

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from fiszkit import (CoeffPyramid, cyclic_shift, daubechies, dwt_forward,
-                     dwt_inverse, haar, local_means, make_blocks, wavelet_vector)
+from fiszkit import (CoeffPyramid, daubechies, dwt_forward, dwt_inverse, haar,
+                     local_means, make_blocks, wavelet_vector)
 from fiszkit.wavelet import WaveletBasis, basis_by_name
 
 ALL_BASES = [haar(), daubechies(4), daubechies(6), daubechies(8)]
@@ -56,6 +59,16 @@ class TestTransform:
             np.testing.assert_allclose(dwt_inverse(p, basis), x, rtol=0, atol=1e-10)
             energy = np.sum(x**2)
             assert abs(p.energy() - energy) / energy < 1e-12
+
+    @given(st.sampled_from(ALL_BASES),
+           st.integers(1, 10).flatmap(lambda depth: arrays(
+               float, 1 << depth, elements=st.floats(-1e3, 1e3, allow_subnormal=False))))
+    def test_round_trip_and_energy_property(self, basis, x):
+        p = dwt_forward(x, basis)
+        scale = max(1.0, float(np.max(np.abs(x))))
+        np.testing.assert_allclose(dwt_inverse(p, basis), x, rtol=0, atol=1e-10 * scale)
+        energy = float(np.sum(x**2))
+        assert abs(p.energy() - energy) <= 1e-12 * energy + 1e-300
 
     @pytest.mark.parametrize("basis", ALL_BASES, ids=lambda b: b.name)
     def test_matches_matrix_oracle(self, basis):
@@ -172,37 +185,6 @@ class TestLocalMeans:
                     length = n - int(gaps[w]) + 1
                     expected = np.roll(x, -start)[:length].mean()
                 assert lm[j][k - 1] == pytest.approx(expected, rel=1e-10)
-
-
-class TestCyclicShift:
-    def test_identity_shifts(self):
-        x = np.arange(8.0)
-        np.testing.assert_array_equal(cyclic_shift(x, 0), x)
-        np.testing.assert_array_equal(cyclic_shift(x, 8), x)
-
-    def test_definition(self):
-        np.testing.assert_array_equal(cyclic_shift(np.array([1.0, 2.0, 3.0, 4.0]), 1),
-                                      [4.0, 1.0, 2.0, 3.0])
-
-    def test_inverse(self):
-        rng = np.random.default_rng(12)
-        x = rng.normal(size=16)
-        np.testing.assert_array_equal(cyclic_shift(cyclic_shift(x, 5), -5), x)
-
-
-class TestSerialization:
-    def test_pyramid_round_trip(self):
-        rng = np.random.default_rng(13)
-        p = dwt_forward(rng.normal(size=32))
-        q = CoeffPyramid.from_lines(p.as_lines())
-        assert q.smooth == p.smooth
-        for a, b in zip(q.details, p.details):
-            np.testing.assert_array_equal(a, b)
-
-    def test_missing_coefficient_rejected(self):
-        lines = ["-1 1 0.5", "0 1 1.0", "1 1 2.0"]  # level 1 needs k=2 as well
-        with pytest.raises(ValueError):
-            CoeffPyramid.from_lines(lines)
 
 
 class TestBasis:
