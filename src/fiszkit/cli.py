@@ -137,7 +137,7 @@ def _add_estimator_flags(p: argparse.ArgumentParser, default_m: int) -> None:
     p.add_argument("--jstar", type=int, default=None,
                    help="number of thresholded coarse levels (default: depth - 2)")
     p.add_argument("--stride", type=int, default=1,
-                   help="thin the shift set to every stride-th shift")
+                   help="average only the first n/stride consecutive circular shifts")
     p.add_argument("--basis", default="haar",
                    choices=("haar", "daub4", "daub6", "daub8"))
     _add_varfn_flags(p, default_m)

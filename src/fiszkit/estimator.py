@@ -5,8 +5,15 @@ against its own threshold sqrt(h(local mean)) * sqrt(2 log N), where N is
 the number of coefficients at those levels and h is either a known
 closed-form mean-to-variance map or the step estimate fitted by
 :mod:`fiszkit.varfn`. Finer levels are zeroed outright; the smooth
-coefficient always passes through. Translation invariance comes from
-cycle spinning over circular shifts.
+coefficient always passes through.
+
+Translation invariance comes from averaging over the first n/shift_stride
+circular shifts. :func:`fiszkit.wavelet.cycle_spin` does this exactly, for
+any shift count, with a translation-invariant table in O(n log n) time
+and memory instead of one transform per shift; with
+``translation_invariant=False`` the same engine runs the single unshifted
+pass. The local means, and h, are evaluated only at the coefficients the
+table holds.
 
 A running-MAD comparator shares the same pipeline but derives thresholds
 from a robust per-level scale estimate of the coefficients themselves,
@@ -23,8 +30,7 @@ import numpy as np
 
 from .signals import as_signal
 from .varfn import VarFnConfig, VarianceEstimate, estimate_variance_function
-from .wavelet import (CoeffPyramid, WaveletBasis, dwt_forward, dwt_inverse, haar,
-                      local_means)
+from .wavelet import CoeffPyramid, WaveletBasis, cycle_spin, haar, shifted_local_means
 
 __all__ = [
     "EstimatorConfig",
@@ -118,21 +124,19 @@ class EstimateResult:
     shifts_averaged: int
 
 
-def coefficient_sd(lm: list[np.ndarray], h: Callable, levels: int) -> list[np.ndarray]:
-    """Noise sd sqrt(h(local mean)) of every detail coefficient at levels < ``levels``."""
-    out = []
-    for j in range(levels):
-        hv = np.asarray(h(lm[j]), dtype=float)
-        if not (0 <= hv.min() and hv.max() < np.inf):  # also rejects NaN
-            raise ValueError(f"variance map returned negative or non-finite values at level {j}")
-        out.append(np.sqrt(hv))
-    return out
+def coefficient_sd(lm, h: Callable, level: int) -> np.ndarray:
+    """Noise sd sqrt(h(local mean)) of level-``level`` coefficients with local means ``lm``."""
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by the check below
+        hv = np.asarray(h(lm), dtype=float)
+    if not (0 <= hv.min() and hv.max() < np.inf):  # also rejects NaN
+        raise ValueError(f"variance map returned negative or non-finite values at level {level}")
+    return np.sqrt(hv)
 
 
 def thresholds_known_h(lm: list[np.ndarray], h: Callable, max_level: int) -> list[np.ndarray]:
     """Per-coefficient thresholds sqrt(h(local mean)) * sqrt(2 log N)."""
     factor = universal_factor(max_level)
-    return [sd * factor for sd in coefficient_sd(lm, h, max_level)]
+    return [coefficient_sd(lm[j], h, j) * factor for j in range(max_level)]
 
 
 def thresholds_data_driven(lm: list[np.ndarray], hhat: VarianceEstimate,
@@ -163,35 +167,26 @@ def apply_threshold(p: CoeffPyramid, thresholds: list[np.ndarray], rule: str,
     return CoeffPyramid(details, p.smooth)
 
 
-def _shift_list(n: int, cfg: EstimatorConfig) -> range:
-    # Thinning keeps the first n/stride consecutive shifts: consecutive
-    # shifts cover every alignment of the fine levels, where the averaging
-    # matters; strided shifts would leave those levels aligned identically
-    # in every pass.
-    if not cfg.translation_invariant:
-        return range(1)
-    return range(max(1, n // cfg.shift_stride))
+def _denoise(x: np.ndarray, cfg: EstimatorConfig, level_sd: Callable):
+    """Shift-averaged thresholding at ``level_sd(j, residues, rows) * sqrt(2 log N)``.
 
-
-def _denoise_shifts(x, cfg, threshold_fn):
-    """Shared cycle-spinning loop; ``threshold_fn(pyramid, shifted_x)`` builds thresholds."""
-    x = as_signal(x)
+    Returns the estimate, the thresholds and survivor masks of the unshifted
+    pass, and the number of shifts averaged.
+    """
     n = x.size
     max_level = cfg.resolve_max_level(n.bit_length() - 1)
-    shifts = _shift_list(n, cfg)
-    acc = np.zeros(n)
-    first_thr = first_surv = None
-    for s in shifts:
-        xs = np.roll(x, s) if s else x
-        p = dwt_forward(xs, cfg.basis)
-        thr = threshold_fn(p, xs)
-        q = apply_threshold(p, thr, cfg.rule, max_level)
-        y = dwt_inverse(q, cfg.basis)
-        acc += np.roll(y, -s) if s else y
-        if s == 0:
-            first_thr = thr
-            first_surv = [q.details[j] != 0 for j in range(max_level)]
-    return acc / len(shifts), first_thr, first_surv, len(shifts)
+    factor = universal_factor(max_level)
+    # Thinning keeps the first n/stride consecutive shifts: they cover every
+    # alignment of the fine levels, where the averaging matters; strided
+    # shifts would leave those levels aligned identically in every pass.
+    shifts = max(1, n // cfg.shift_stride) if cfg.translation_invariant else 1
+
+    def threshold_fn(j, residues, rows):
+        return level_sd(j, residues, rows) * factor
+
+    values, thr, shrunk = cycle_spin(x, cfg.basis, shifts, max_level, threshold_fn,
+                                     _RULES[cfg.rule])
+    return values, thr, [d != 0 for d in shrunk], shifts
 
 
 def estimate(x, cfg: EstimatorConfig | None = None) -> EstimateResult:
@@ -202,23 +197,23 @@ def estimate(x, cfg: EstimatorConfig | None = None) -> EstimateResult:
     """
     cfg = cfg or EstimatorConfig()
     x = as_signal(x)
-    max_level = cfg.resolve_max_level(x.size.bit_length() - 1)
     fitted = None if cfg.known_variance else estimate_variance_function(x, cfg.varfn)
     h = cfg.known_variance or fitted.query
+    means = shifted_local_means(x, cfg.basis)
 
-    def threshold_fn(_p, xs):
-        return thresholds_known_h(local_means(xs, cfg.basis), h, max_level)
+    def level_sd(j, residues, _rows):
+        return coefficient_sd(means(j, residues), h, j)
 
-    values, thr, surv, n_shifts = _denoise_shifts(x, cfg, threshold_fn)
-    return EstimateResult(values, thr, surv, cfg.known_variance or fitted, n_shifts)
+    values, thr, surv, shifts = _denoise(x, cfg, level_sd)
+    return EstimateResult(values, thr, surv, cfg.known_variance or fitted, shifts)
 
 
 def _running_mad(values: np.ndarray, window: int) -> np.ndarray:
-    """Median absolute deviation over a periodic window around each entry."""
-    m = values.size
+    """Median absolute deviation over a periodic window, along the last axis."""
+    m = values.shape[-1]
     w = min(window, m)
     offsets = np.arange(w) - w // 2
-    stack = np.stack([np.roll(values, -o) for o in offsets])
+    stack = np.stack([np.roll(values, -o, axis=-1) for o in offsets])
     med = np.median(stack, axis=0)
     return np.median(np.abs(stack - med), axis=0)
 
@@ -231,16 +226,12 @@ def baseline_mad_estimate(x, cfg: EstimatorConfig | None = None) -> np.ndarray:
     """Comparator: same pipeline, thresholds from a running MAD per level.
 
     The scale of each coefficient is estimated robustly from its level
-    neighbours (window grows with level), times sqrt(2 log N); no use is
-    made of the mean-variance link.
+    neighbours in the same shift (window grows with level), times
+    sqrt(2 log N); no use is made of the mean-variance link.
     """
     cfg = cfg or EstimatorConfig()
-    x = as_signal(x)
-    max_level = cfg.resolve_max_level(x.size.bit_length() - 1)
-    factor = universal_factor(max_level)
 
-    def threshold_fn(p, _xs):
-        return [MAD_TO_SIGMA * _running_mad(p.details[j], _mad_window(j)) * factor
-                for j in range(max_level)]
+    def level_sd(j, _residues, rows):
+        return MAD_TO_SIGMA * _running_mad(rows, _mad_window(j))
 
-    return _denoise_shifts(x, cfg, threshold_fn)[0]
+    return _denoise(as_signal(x), cfg, level_sd)[0]

@@ -66,7 +66,11 @@ class PreliminaryFit:
 def preliminary_fit(x, half_window: int) -> PreliminaryFit:
     x = as_signal(x)
     fit = running_mean(x, half_window)
-    return PreliminaryFit(fit, (x - fit) ** 2, half_window)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals_sq = (x - fit) ** 2
+    if not np.all(np.isfinite(residuals_sq)):
+        raise ValueError("squared residuals are not finite: they overflow at this data scale")
+    return PreliminaryFit(fit, residuals_sq, half_window)
 
 
 def _fill_from_nearest(values: np.ndarray, populated: np.ndarray) -> np.ndarray:
@@ -236,6 +240,12 @@ class VarianceEstimate:
 def estimate_variance_function(x, cfg: VarFnConfig | None = None) -> VarianceEstimate:
     """Fit the full variance-function pipeline to one signal."""
     cfg = cfg or VarFnConfig()
+    x = as_signal(x)
+    min_len = 2 * cfg.half_window + 1
+    if x.size < min_len:
+        raise ValueError(f"signal of length {x.size} is too short for the variance fit: "
+                         f"half-window M = {cfg.half_window} needs at least 2M+1 = {min_len} "
+                         "samples")
     fit = preliminary_fit(x, cfg.half_window)
     grid = np.linspace(fit.alpha_hat.min(), fit.alpha_hat.max(), cfg.grid_size)
     if isinstance(cfg.bandwidth, str):
@@ -244,8 +254,8 @@ def estimate_variance_function(x, cfg: VarFnConfig | None = None) -> VarianceEst
         bandwidth = float(cfg.bandwidth)
     raw, populated = nw_variance_raw(fit, bandwidth, grid)
     if not np.all(np.isfinite(raw)):
-        raise ValueError("smoothed variance is not finite: squared residuals overflow "
-                         "at this data scale")
+        raise ValueError("smoothed variance is not finite: kernel sums of squared residuals "
+                         "overflow at this data scale")
     iso = pava_isotone(raw)
     if cfg.floor_eps is not None:
         floor_eps = float(cfg.floor_eps)

@@ -52,7 +52,8 @@ def forward_vst(x, hhat: VarianceEstimate,
     p = dwt_forward(x, basis)
     lm = local_means(x, basis)
     floor = np.sqrt(hhat.floor_eps)
-    divisors = [np.maximum(sd, floor) for sd in coefficient_sd(lm, hhat.query, p.n_levels)]
+    divisors = [np.maximum(coefficient_sd(lm[j], hhat.query, j), floor)
+                for j in range(p.n_levels)]
     q = CoeffPyramid([d / div for d, div in zip(p.details, divisors)], p.smooth)
     return dwt_inverse(q, basis), VstState(divisors, basis, hhat)
 

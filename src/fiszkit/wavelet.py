@@ -11,6 +11,10 @@ detail coefficient, the uniform average of the data over the support of
 that coefficient's wavelet vector. For Haar these are rescaled scaling
 coefficients; for longer filters the supports are cyclic intervals found
 once per (basis, length) and cached.
+
+:func:`cycle_spin` is the one shift-averaging engine: it thresholds every
+circular shift of a signal and averages the results through a
+translation-invariant table of O(n log n) size.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ __all__ = [
     "dwt_forward",
     "dwt_inverse",
     "local_means",
+    "shifted_local_means",
+    "cycle_spin",
     "wavelet_vector",
 ]
 
@@ -143,25 +149,31 @@ class CoeffPyramid:
 
 
 def _analysis_step(approx: np.ndarray, g: np.ndarray, h: np.ndarray):
-    m = approx.size
+    """One periodic analysis step along the last axis of ``approx``."""
+    m = approx.shape[-1]
     if g.size == 2:
-        a, b = approx[0::2], approx[1::2]
+        a, b = approx[..., 0::2], approx[..., 1::2]
         return (a + b) * g[0], a * h[0] + b * h[1]
     idx = (2 * np.arange(m // 2)[:, None] + np.arange(g.size)) % m
-    win = approx[idx]
+    win = approx[..., idx]
     return win @ g, win @ h
 
 
 def _synthesis_step(approx: np.ndarray, detail: np.ndarray, g: np.ndarray, h: np.ndarray):
-    m = 2 * approx.size
+    """Transpose of :func:`_analysis_step` along the last axis."""
+    half = approx.shape[-1]
+    shape = approx.shape[:-1] + (2 * half,)
     if g.size == 2:
-        out = np.empty(m)
-        out[0::2] = (approx + detail) * g[0]
-        out[1::2] = approx * g[1] + detail * h[1]
+        out = np.empty(shape)
+        out[..., 0::2] = (approx + detail) * g[0]
+        out[..., 1::2] = approx * g[1] + detail * h[1]
         return out
-    idx = (2 * np.arange(approx.size)[:, None] + np.arange(g.size)) % m
-    out = np.zeros(m)
-    np.add.at(out, idx.ravel(), (approx[:, None] * g + detail[:, None] * h).ravel())
+    # tap i of coefficient k lands on 2k + i (mod 2 * half); within one tap
+    # those positions are distinct, so one scatter-add per tap is exact
+    out = np.zeros(shape)
+    pos = 2 * np.arange(half)
+    for i in range(g.size):
+        out[..., (pos + i) % shape[-1]] += approx * g[i] + detail * h[i]
     return out
 
 
@@ -233,6 +245,25 @@ def _level_supports(basis: WaveletBasis, n: int) -> tuple[tuple[int, ...], tuple
     return tuple(starts), tuple(lengths)
 
 
+def shifted_local_means(x, basis: WaveletBasis | None = None):
+    """Return ``means(j, shifts)``, the level-j local means of shifted copies of ``x``.
+
+    Row i of ``means(j, shifts)`` equals ``local_means(np.roll(x, shifts[i]))[j]``:
+    coefficient (j, k) of the shift-s signal averages ``x`` over the cyclic
+    interval of its support moved back by s. The cumulative sum is built
+    once, so each call costs only the positions asked for.
+    """
+    x = as_signal(x)
+    n = x.size
+    starts, lengths = _level_supports(basis or haar(), n)
+    csum = np.concatenate([[0.0], np.cumsum(np.concatenate([x, x]))])
+
+    def means(j: int, shifts) -> np.ndarray:
+        s = (starts[j] + (n >> j) * np.arange(1 << j) - np.asarray(shifts)[:, None]) % n
+        return (csum[s + lengths[j]] - csum[s]) / lengths[j]
+    return means
+
+
 def local_means(x, basis: WaveletBasis | None = None) -> list[np.ndarray]:
     """Uniform-weight data averages over each detail coefficient's support.
 
@@ -241,14 +272,71 @@ def local_means(x, basis: WaveletBasis | None = None) -> list[np.ndarray]:
     2^((J-j)/2).
     """
     x = as_signal(x)
-    basis = basis or haar()
+    means = shifted_local_means(x, basis)
+    return [means(j, [0])[0] for j in range(x.size.bit_length() - 1)]
+
+
+def cycle_spin(x, basis: WaveletBasis, shifts: int, max_level: int,
+               threshold_fn, shrink) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """Threshold every circular shift s < ``shifts`` of ``x`` and average the results.
+
+    The result equals the mean over s of ``np.roll(y_s, -s)``, where ``y_s``
+    is ``np.roll(x, s)`` analysed, with each level j < ``max_level`` shrunk
+    by ``shrink(detail, threshold)``, the finer levels zeroed and the smooth
+    kept, then synthesised. ``threshold_fn(j, residues, rows)`` receives the
+    level-j detail rows of the shifts ``residues`` and returns their
+    thresholds, one per coefficient.
+
+    Shifts congruent modulo 2^d share their depth-d coefficients up to a
+    rotation, so the transform is a table (Coifman & Donoho 1995): depth d
+    keeps one row per residue r = s mod 2^d present among the shifts, the
+    approximation of ``np.roll(x, r)``, and the residue r + 2^d child is
+    analysed from its parent rotated by one sample. Synthesis goes back up
+    the table and merges sibling rows, weighted by how many shifts fall in
+    each residue class. Each depth holds at most n values: O(n log n) time
+    and memory for any ``shifts``.
+
+    Returns the averaged signal and, for the unshifted pass, the thresholds
+    and shrunk details of levels 0 .. max_level-1.
+    """
+    x = as_signal(x)
     n = x.size
-    J = n.bit_length() - 1
-    starts, lengths = _level_supports(basis, n)
-    csum = np.concatenate([[0.0], np.cumsum(np.concatenate([x, x]))])
-    means = []
-    for j in range(J):
-        step = n >> j
-        s = (starts[j] + step * np.arange(1 << j)) % n
-        means.append((csum[s + lengths[j]] - csum[s]) / lengths[j])
-    return means
+    depth = n.bit_length() - 1
+    if not 1 <= shifts <= n:
+        raise ValueError(f"shift count must be in [1, {n}], got {shifts}")
+    if not 1 <= max_level <= depth:
+        raise ValueError(f"max_level must be in [1, {depth}], got {max_level}")
+    g, h = basis.filter_pair()
+    rows = x[None, :]
+    shrunk = []  # per depth: shrunk detail rows, None where the level is zeroed
+    first_thr = []
+    for d in range(depth):
+        j = depth - 1 - d
+        odd = min(shifts, 2 << d) - rows.shape[0]  # residues r + 2^d still below shifts
+        if odd > 0:
+            rows = np.concatenate([rows, np.roll(rows[:odd], 1, axis=1)])
+        rows, detail = _analysis_step(rows, g, h)
+        if j >= max_level:
+            shrunk.append(None)
+            continue
+        lam = np.asarray(threshold_fn(j, np.arange(rows.shape[0]), detail), dtype=float)
+        if lam.shape != detail.shape:
+            raise ValueError(f"threshold level {j} has shape {lam.shape}, expected {detail.shape}")
+        if not np.all(lam >= 0):
+            raise ValueError(f"negative or NaN threshold at level {j}")
+        shrunk.append(shrink(detail, lam))
+        first_thr.append(lam[0].copy())
+    for d in reversed(range(depth)):
+        detail = shrunk[d] if shrunk[d] is not None else np.zeros_like(rows)
+        y = _synthesis_step(rows, detail, g, h)
+        parents = min(shifts, 1 << d)
+        odd = y.shape[0] - parents
+        if odd:
+            r = np.arange(y.shape[0])
+            y *= ((shifts - 1 - r) // (2 << d) + 1)[:, None]  # shifts per child class
+            y[:odd] += np.roll(y[parents:], -1, axis=1)
+            rows = y[:parents] / ((shifts - 1 - r[:parents]) // (1 << d) + 1)[:, None]
+        else:
+            rows = y
+    first_shrunk = [rows_d[0] for rows_d in reversed(shrunk) if rows_d is not None]
+    return rows[0], first_thr[::-1], first_shrunk

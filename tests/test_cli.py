@@ -100,6 +100,13 @@ class TestEstimate:
         assert run_cli(["estimate", "--in", tmp_path / "nope.txt",
                         "--out", tmp_path / "o.txt"]) == 3
 
+    def test_two_samples_too_short_for_variance_fit(self, tmp_path, capsys):
+        (tmp_path / "two.txt").write_text("1.0\n3.0\n")
+        assert run_cli(["estimate", "--in", tmp_path / "two.txt",
+                        "--out", tmp_path / "o.txt"]) == 3
+        assert "half-window M = 1 needs at least 2M+1 = 3 samples" in capsys.readouterr().err
+        assert not (tmp_path / "o.txt").exists()
+
     def test_baseline_flag(self, poisson_file, tmp_path):
         assert run_cli(["estimate", "--in", poisson_file, "--out", tmp_path / "b.txt",
                         "--baseline", "--stride", 16]) == 0

@@ -1,19 +1,55 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fiszkit import (EstimatorConfig, NoiseModel, SeedSpec, VarianceEstimate,
-                     apply_threshold, baseline_mad_estimate, dwt_forward,
-                     dwt_inverse, estimate, hard_threshold, local_means,
-                     make_blocks, make_bumps, n_threshold_coeffs, sample_noise,
-                     soft_threshold, thresholds_data_driven, thresholds_known_h,
-                     universal_factor)
-from fiszkit.estimator import MAD_TO_SIGMA, _running_mad
+                     apply_threshold, baseline_mad_estimate, daubechies, dwt_forward,
+                     dwt_inverse, estimate, estimate_variance_function, haar,
+                     hard_threshold, local_means, make_blocks, make_bumps,
+                     n_threshold_coeffs, sample_noise, soft_threshold,
+                     thresholds_data_driven, thresholds_known_h, universal_factor)
+from fiszkit.estimator import MAD_TO_SIGMA, _mad_window, _running_mad
+from fiszkit.wavelet import cycle_spin
 
 H_POISSON = lambda u: np.asarray(u, dtype=float)
 H_SQUARE = lambda u: np.asarray(u, dtype=float) ** 2
+ALL_BASES = [haar(), daubechies(4), daubechies(6), daubechies(8)]
+
+
+def shift_list(n: int, cfg: EstimatorConfig) -> range:
+    """The shifts the estimator averages: the first n/stride consecutive ones."""
+    if not cfg.translation_invariant:
+        return range(1)
+    return range(max(1, n // cfg.shift_stride))
+
+
+def denoise_shifts(x, cfg, threshold_fn):
+    """Slow definition of shift averaging: one full transform per shift.
+
+    ``threshold_fn(pyramid, shifted_x)`` builds the thresholds of one shift.
+    Returns the average, the thresholds and survivor masks of the unshifted
+    pass, and the number of shifts.
+    """
+    n = x.size
+    max_level = cfg.resolve_max_level(n.bit_length() - 1)
+    shifts = shift_list(n, cfg)
+    acc = np.zeros(n)
+    first_thr = first_surv = None
+    for s in shifts:
+        xs = np.roll(x, s)
+        p = dwt_forward(xs, cfg.basis)
+        thr = threshold_fn(p, xs)
+        q = apply_threshold(p, thr, cfg.rule, max_level)
+        acc += np.roll(dwt_inverse(q, cfg.basis), -s)
+        if s == 0:
+            first_thr = thr
+            first_surv = [q.details[j] != 0 for j in range(max_level)]
+    return acc / len(shifts), first_thr, first_surv, len(shifts)
 
 
 def scalar_rule(y, lam, rule):
@@ -240,13 +276,80 @@ class TestEstimate:
         for a, b in zip(res.thresholds, want):
             np.testing.assert_array_equal(a, b)
 
+    @settings(max_examples=150)
+    @given(st.integers(1, 9), st.integers(0, 2**32 - 1), st.sampled_from(ALL_BASES),
+           st.sampled_from([1, 2, 3, 16]), st.booleans(), st.sampled_from(["hard", "soft"]),
+           st.sampled_from(["known", "fitted", "mad"]))
+    def test_cycle_spin_matches_shift_loop(self, depth, seed, basis, stride, ti, rule, mode):
+        # Continuous data: a local mean landing exactly on a knot of the fitted
+        # step function could round to either side in the two computations.
+        assume(mode != "fitted" or depth >= 2)  # the variance fit needs n >= 3
+        x = np.random.default_rng(seed).uniform(0.5, 30.0, size=1 << depth)
+        cfg = EstimatorConfig(rule=rule, translation_invariant=ti, shift_stride=stride,
+                              basis=basis, known_variance=H_POISSON if mode == "known" else None)
+        max_level = cfg.resolve_max_level(depth)
+        if mode == "mad":
+            got = baseline_mad_estimate(x, cfg)
+            factor = universal_factor(max_level)
+            want = denoise_shifts(x, cfg, lambda p, _xs: [
+                MAD_TO_SIGMA * _running_mad(p.details[j], _mad_window(j)) * factor
+                for j in range(max_level)])[0]
+        else:
+            res = estimate(x, cfg)
+            h = H_POISSON if mode == "known" else estimate_variance_function(x, cfg.varfn).query
+            want, thr, surv, n_shifts = denoise_shifts(
+                x, cfg, lambda _p, xs: thresholds_known_h(local_means(xs, basis), h, max_level))
+            got = res.values
+            assert res.shifts_averaged == n_shifts
+            assert len(res.thresholds) == len(res.survivors) == max_level
+            for a, b in zip(res.thresholds, thr):
+                np.testing.assert_array_equal(a, b)
+            for a, b in zip(res.survivors, surv):
+                np.testing.assert_array_equal(a, b)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_cycle_spin_memory_is_n_log_n(self):
+        # every shift of n = 4096: a shift-count x n stack would be 128 MiB
+        n = 1 << 12
+        x = np.random.default_rng(65).uniform(1.0, 20.0, size=n)
+        tracemalloc.start()
+        try:
+            cycle_spin(x, haar(), n, 10, lambda j, r, rows: np.ones_like(rows), hard_threshold)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * n * 12  # four arrays of n doubles per level
+
+    def test_cycle_spin_validation(self):
+        x = np.arange(1.0, 9.0)
+        ones = lambda j, r, rows: np.ones_like(rows)
+        for shifts, max_level in ((0, 1), (9, 1), (8, 0), (8, 4)):
+            with pytest.raises(ValueError):
+                cycle_spin(x, haar(), shifts, max_level, ones, hard_threshold)
+        with pytest.raises(ValueError, match="shape"):
+            cycle_spin(x, haar(), 8, 2, lambda j, r, rows: np.ones(1 << j), hard_threshold)
+        with pytest.raises(ValueError, match="NaN"):
+            cycle_spin(x, haar(), 8, 2, lambda j, r, rows: np.full_like(rows, np.nan),
+                       hard_threshold)
+
+    def test_two_samples(self):
+        # known law: no variance fit, so n = 2 runs through the engine
+        x = np.array([1.0, 3.0])
+        res = estimate(x, EstimatorConfig(known_variance=H_POISSON))
+        assert res.shifts_averaged == 2
+        np.testing.assert_allclose(res.values, x)  # sqrt(2 log 1) = 0: nothing shrinks
+        with pytest.raises(ValueError, match=r"half-window M = 1 .* 2M\+1 = 3"):
+            estimate(x)
+
     def test_overflowing_data_rejected(self):
         x = sample_noise(make_blocks(256, 1.0, 22.6), NoiseModel("poisson"), SeedSpec(64, 1))
-        with pytest.raises(ValueError):
-            estimate(x * 1e300, EstimatorConfig(translation_invariant=False))
-        with pytest.raises(ValueError):
-            estimate(x * 1e300, EstimatorConfig(known_variance=H_SQUARE,
-                                                translation_invariant=False))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the ValueError is the only report
+            with pytest.raises(ValueError):
+                estimate(x * 1e300, EstimatorConfig(translation_invariant=False))
+            with pytest.raises(ValueError):
+                estimate(x * 1e300, EstimatorConfig(known_variance=H_SQUARE,
+                                                    translation_invariant=False))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

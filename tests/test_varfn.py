@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -243,8 +245,14 @@ class TestEstimatePipeline:
     def test_overflowing_residuals_rejected(self):
         truth = make_blocks(256, 1.0, 22.6)
         x = sample_noise(truth, NoiseModel("poisson"), SeedSpec(43, 1)) * 1e300
-        with pytest.raises(ValueError, match="not finite"):
-            estimate_variance_function(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning before the error
+            with pytest.raises(ValueError, match="not finite"):
+                estimate_variance_function(x)
+
+    def test_too_short_for_window_rejected(self):
+        with pytest.raises(ValueError, match=r"length 4 .* M = 3 .* 2M\+1 = 7"):
+            estimate_variance_function(np.arange(1.0, 5.0), VarFnConfig(half_window=3))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
