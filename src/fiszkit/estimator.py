@@ -209,13 +209,34 @@ def estimate(x, cfg: EstimatorConfig | None = None) -> EstimateResult:
 
 
 def _running_mad(values: np.ndarray, window: int) -> np.ndarray:
-    """Median absolute deviation over a periodic window, along the last axis."""
+    """Median absolute deviation over a periodic window, along the last axis.
+
+    The windows are gathered a block of columns at a time, at most
+    max(8 * values.size, 2**16) values per block, so memory stays O(n)
+    where a full window stack would hold window × n values; at the default
+    depth, every level of a signal of n <= 2048 takes one block. Each
+    position's MAD depends only on its own window, so blocking does not
+    change the result.
+    """
     m = values.shape[-1]
     w = min(window, m)
-    offsets = np.arange(w) - w // 2
-    stack = np.stack([np.roll(values, -o, axis=-1) for o in offsets])
-    med = np.median(stack, axis=0)
-    return np.median(np.abs(stack - med), axis=0)
+    lead = w // 2
+    padded = np.concatenate([values[..., m - lead:], values, values[..., :w - 1 - lead]], axis=-1)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, w, axis=-1)
+    block_cols = max(1, max(8 * values.size, 1 << 16) // (w * (values.size // m)))
+    out = np.empty(values.shape)
+    for c in range(0, m, block_cols):
+        out[..., c:c + block_cols] = _mad_in_place(windows[..., c:c + block_cols, :].copy())
+    return out
+
+
+def _mad_in_place(windows: np.ndarray) -> np.ndarray:
+    """MAD along the last axis; partitions and then overwrites ``windows``."""
+    # Partitioning permutes each window but keeps its values, which is all
+    # the deviations need.
+    med = np.median(windows, axis=-1, overwrite_input=True)
+    np.abs(np.subtract(windows, med[..., None], out=windows), out=windows)
+    return np.median(windows, axis=-1, overwrite_input=True)
 
 
 def _mad_window(j: int) -> int:

@@ -94,7 +94,7 @@ def divisors_as_lines(state: VstState) -> list[str]:
     """Serialise divisors as ``j k value`` lines with a basis header."""
     lines = [f"# basis {state.basis.name}"]
     for j, d in enumerate(state.divisors):
-        lines.extend(f"{j} {k + 1} {v:.17g}" for k, v in enumerate(d))
+        lines.extend(f"{j} {k} {v:.17g}" for k, v in enumerate(d.tolist(), start=1))
     return lines
 
 

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -187,6 +188,18 @@ class TestVst:
         x = read_series(poisson_file)
         back = read_series(tmp_path / "back.txt")
         assert np.max(np.abs(back - x)) < 1e-10
+
+    def test_daub8_divisor_file_matches_fixture(self, tmp_path):
+        # The fixture was written by this same call. It pins the writer's
+        # format and the last digit of every divisor, so a deliberate change
+        # to the fit's arithmetic means writing it again.
+        assert run_cli(["simulate", "--signal", "bumps", "--n", 1024, "--min", 3,
+                        "--max", 23.21, "--noise", "exponential", "--seed", 11,
+                        "--out", tmp_path / "sim"]) == 0
+        assert run_cli(["vst", "forward", "--basis", "daub8", "--in", tmp_path / "sim_noisy.txt",
+                        "--out", tmp_path / "xt.txt", "--divisors", tmp_path / "div.txt"]) == 0
+        fixture = Path(__file__).parent / "data" / "vst_daub8_n1024_divisors.txt"
+        assert (tmp_path / "div.txt").read_bytes() == fixture.read_bytes()
 
 
 class TestBench:

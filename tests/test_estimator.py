@@ -373,6 +373,31 @@ class TestBaseline:
             scales.append(np.mean(MAD_TO_SIGMA * _running_mad(coeffs, 17)))
         assert abs(np.mean(scales) - sigma) < 0.15 * sigma
 
+    @pytest.mark.parametrize("shape, window", [((256,), 17), ((7, 33), 2), ((3, 5), 9),
+                                               ((2, 1024), 65), ((8, 2048), 129)])
+    def test_running_mad_matches_window_stack(self, shape, window):
+        # the last two take several column blocks
+        values = np.random.default_rng(66).normal(size=shape)
+        values[..., ::3] = np.round(values[..., ::3])  # ties
+        w = min(window, shape[-1])
+        stack = np.stack([np.roll(values, -o, axis=-1) for o in np.arange(w) - w // 2])
+        med = np.median(stack, axis=0)
+        np.testing.assert_array_equal(_running_mad(values, window),
+                                      np.median(np.abs(stack - med), axis=0))
+
+    def test_running_mad_memory_is_linear(self):
+        # full averaging at n = 2^14: the finest thresholded level (j = 11)
+        # holds 8 rows of 2048, and a window stack would be 129 arrays of n
+        n, j = 1 << 14, 11
+        rows = np.random.default_rng(67).normal(size=(n >> j, 1 << j))
+        tracemalloc.start()
+        try:
+            _running_mad(rows, _mad_window(j))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 8 * n
+
     def test_zero_noise_constant_is_identity(self):
         x = np.full(128, 4.0)
         out = baseline_mad_estimate(x, EstimatorConfig(translation_invariant=False))

@@ -1,14 +1,15 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fiszkit import (NoiseModel, SeedSpec, VarFnConfig, VarianceEstimate,
                      default_bandwidth, estimate_variance_function, make_blocks,
-                     nw_variance_raw, pava_isotone, preliminary_fit, running_mean,
+                     make_bumps, nw_variance_raw, pava_isotone, preliminary_fit, running_mean,
                      sample_noise, triangular_kernel)
 from fiszkit.varfn import PreliminaryFit
 
@@ -25,6 +26,36 @@ def nw_oracle(alpha_hat, resid_sq, b, grid):
             den += w
         out[gi] = num / den if den > 0 else np.nan
     return out
+
+
+@st.composite
+def random_cases(draw):
+    """Fitted values, squared residuals, bandwidth and grid drawn independently."""
+    n = draw(st.integers(1, 24))
+    alpha = draw(arrays(float, n, elements=st.floats(0.0, 10.0)))
+    resid = draw(arrays(float, n, elements=st.floats(0.0, 5.0)))
+    grid = draw(arrays(float, st.integers(1, 12), elements=st.floats(-1.0, 11.0)))
+    return alpha, resid, draw(st.floats(0.05, 5.0)), grid
+
+
+@st.composite
+def window_edge_cases(draw):
+    """Fitted values on, and a few ulps either side of, the window ends u ± b/2.
+
+    Repeated, unsorted, and at offsets up to 1e9 with a bandwidth down to
+    1e-3, where rounding u ± b/2 moves a window end by up to 1e-4 of b.
+    """
+    offset = draw(st.sampled_from([0.0, 1e6, 1e9]) | st.floats(1e6, 1e9))
+    b = draw(st.floats(1e-3, 5.0))
+    grid = offset + draw(arrays(float, st.integers(1, 4), elements=st.floats(0.0, 4.0)))
+    ends = np.concatenate([grid - 0.5 * b, grid + 0.5 * b])
+    near_ends = np.concatenate([ends + k * np.spacing(ends) for k in range(-2, 3)])
+    inside = offset + draw(arrays(float, st.integers(0, 4), elements=st.floats(0.0, 4.0)))
+    pool = np.concatenate([near_ends, inside, grid])
+    picks = draw(st.lists(st.integers(0, pool.size - 1), min_size=1, max_size=24))
+    alpha = pool[picks]
+    resid = draw(arrays(float, alpha.size, elements=st.floats(0.0, 5.0)))
+    return alpha, resid, b, grid
 
 
 def pava_oracle(values, weights):
@@ -111,13 +142,16 @@ class TestKernelSmoother:
         with pytest.raises(ValueError):
             nw_variance_raw(fit, 0.0, np.array([1.0]))
 
-    @given(st.integers(1, 24).flatmap(lambda n: st.tuples(
-               arrays(float, n, elements=st.floats(0.0, 10.0)),
-               arrays(float, n, elements=st.floats(0.0, 5.0)))),
-           arrays(float, st.integers(1, 12), elements=st.floats(-1.0, 11.0)),
-           st.floats(0.05, 5.0))
-    def test_matches_oracle_property(self, data, grid, b):
-        alpha, resid = data
+    def test_samples_on_window_ends_get_no_weight(self):
+        fit = PreliminaryFit(np.array([0.75, 1.25, 2.0]), np.array([1.0, 2.0, 3.0]), 0)
+        values, populated = nw_variance_raw(fit, 0.5, np.array([1.0, 2.0]))
+        np.testing.assert_array_equal(populated, [False, True])
+        np.testing.assert_array_equal(values, [3.0, 3.0])
+
+    @settings(max_examples=300)
+    @given(st.one_of(random_cases(), window_edge_cases()))
+    def test_matches_oracle_property(self, case):
+        alpha, resid, b, grid = case
         fit = PreliminaryFit(alpha, resid, 0)
         want = nw_oracle(alpha, resid, b, grid)
         if np.all(np.isnan(want)):
@@ -127,6 +161,12 @@ class TestKernelSmoother:
         got, populated = nw_variance_raw(fit, b, grid)
         np.testing.assert_array_equal(populated, ~np.isnan(want))
         np.testing.assert_allclose(got[populated], want[populated], rtol=1e-12, atol=0)
+
+    def test_leaves_the_fit_unsorted(self):
+        fit = PreliminaryFit(np.array([3.0, 1.0, 2.0, 1.0]), np.array([4.0, 1.0, 2.0, 3.0]), 0)
+        nw_variance_raw(fit, 1.5, np.linspace(1.0, 3.0, 5))
+        np.testing.assert_array_equal(fit.alpha_hat, [3.0, 1.0, 2.0, 1.0])
+        np.testing.assert_array_equal(fit.residuals_sq, [4.0, 1.0, 2.0, 3.0])
 
 
 class TestPava:
@@ -249,6 +289,17 @@ class TestEstimatePipeline:
             warnings.simplefilter("error")  # no numpy overflow warning before the error
             with pytest.raises(ValueError, match="not finite"):
                 estimate_variance_function(x)
+
+    def test_fit_memory_is_linear(self):
+        n = 1 << 18
+        x = sample_noise(make_bumps(n, 3.0, 23.21), NoiseModel("exponential"), SeedSpec(44, 1))
+        tracemalloc.start()
+        try:
+            estimate_variance_function(x, VarFnConfig(half_window=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 8 * n  # a grid x n kernel matrix alone is 256 arrays of n doubles
 
     def test_too_short_for_window_rejected(self):
         with pytest.raises(ValueError, match=r"length 4 .* M = 3 .* 2M\+1 = 7"):
