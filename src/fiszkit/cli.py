@@ -1,9 +1,10 @@
 """Command-line surface: simulate, estimate, varfn, vst, bench.
 
-File conventions: one decimal value per line, '.' decimal separator, LF
-endings, '#' comment lines. Exit codes: 0 success, 2 usage error, 3 data
-error. ``FISZKIT_THREADS`` caps how many worker processes the benchmark
-may use; results are independent of that setting.
+File conventions (see ``fiszkit.textio``): one decimal value per line, '.'
+decimal separator, LF endings (CRLF is read too), whole-line '#' comments.
+Exit codes: 0 success, 2 usage error, 3 data error. ``FISZKIT_THREADS``
+caps how many worker processes the benchmark may use; results are
+independent of that setting.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 from .estimator import EstimatorConfig, baseline_mad_estimate, estimate
 from .signals import (GAUSSIAN, SIGNAL_GENERATORS, NoiseModel, SeedSpec,
                       sample_noise)
+from .textio import data_rows, first_rejected, format_rows, level_index, row_line
 from .varfn import VarFnConfig, VarianceEstimate, estimate_variance_function
 from .vst import divisors_as_lines, divisors_from_lines, forward_vst, inverse_vst
 from .wavelet import basis_by_name
@@ -35,34 +37,36 @@ BENCH_METHODS = ("mad-baseline", "wavefisz")
 # ----------------------------------------------------------------- file I/O
 
 def read_series(path) -> np.ndarray:
-    """Read a one-value-per-line series; parse errors carry line numbers."""
-    values = []
+    """Read a one-value-per-line series; parse errors carry line numbers.
+
+    Each line is stripped of surrounding whitespace; blank lines and
+    whole-line ``#`` comments are skipped; every other line must be one
+    number as Python's ``float`` reads it.
+    """
     with open(path, encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            s = raw.strip()
-            if not s or s.startswith("#"):
-                continue
-            try:
-                values.append(float(s))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: cannot parse {s!r} as a number") from None
-    if not values:
+        stripped, rows = data_rows(f)
+    if not rows:
         raise ValueError(f"{path}: no data lines")
-    return np.asarray(values)
+    try:
+        return np.array(rows, dtype=float)
+    except ValueError:
+        row, _ = first_rejected(rows, float)
+        raise ValueError(f"{path}:{row_line(stripped, row)}: cannot parse {rows[row]!r} "
+                         "as a number") from None
 
 
 def write_series(path, values, header=()) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for line in header:
-            f.write(f"# {line}\n")
-        for v in np.asarray(values, dtype=float):
-            f.write(f"{v:.17g}\n")
+    _write_text(path, "".join(f"# {line}\n" for line in header)
+                + format_rows("%.17g", np.asarray(values, dtype=float)))
 
 
 def write_lines(path, lines) -> None:
+    _write_text(path, "\n".join([*lines, ""]))  # every line ends in LF
+
+
+def _write_text(path, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for line in lines:
-            f.write(line + "\n")
+        f.write(text)
 
 
 def _sidecar(out_path, tag: str) -> Path:
@@ -173,19 +177,17 @@ def cmd_estimate(args, cfg: EstimatorConfig) -> int:
     res = estimate(x, cfg)
     write_series(args.out, res.values)
     if args.emit_plots:
-        thr_lines = []
-        for j, (thr, surv) in enumerate(zip(res.thresholds, res.survivors)):
-            thr_lines.extend(f"{j} {k + 1} {t:.17g} {int(s)}"
-                             for k, (t, s) in enumerate(zip(thr, surv)))
-        write_lines(_sidecar(args.out, "thresholds"), thr_lines)
+        j, k = level_index(len(res.thresholds))
+        _write_text(_sidecar(args.out, "thresholds"),
+                    format_rows("%d %d %.17g %d", j, k, np.concatenate(res.thresholds),
+                                np.concatenate(res.survivors)))
         if isinstance(res.variance_fn, VarianceEstimate):
             write_lines(_sidecar(args.out, "varfn"), res.variance_fn.as_lines())
         n = x.size
         grid = np.arange(1, n + 1) / n
-        write_lines(_sidecar(args.out, "plot_estimate"),
-                    [f"{t:.17g} {v:.17g}" for t, v in zip(grid, res.values)])
-        write_lines(_sidecar(args.out, "plot_input"),
-                    [f"{t:.17g} {v:.17g}" for t, v in zip(grid, x)])
+        _write_text(_sidecar(args.out, "plot_estimate"),
+                    format_rows("%.17g %.17g", grid, res.values))
+        _write_text(_sidecar(args.out, "plot_input"), format_rows("%.17g %.17g", grid, x))
     return 0
 
 
@@ -194,8 +196,8 @@ def cmd_varfn(args, cfg: VarFnConfig) -> int:
     est = estimate_variance_function(x, cfg)
     write_lines(args.out, est.as_lines())
     if args.emit_plots:
-        write_lines(_sidecar(args.out, "sqrt"),
-                    [f"{u:.17g} {np.sqrt(v):.17g}" for u, v in zip(est.grid_u, est.values)])
+        _write_text(_sidecar(args.out, "sqrt"),
+                    format_rows("%.17g %.17g", est.grid_u, np.sqrt(est.values)))
     return 0
 
 

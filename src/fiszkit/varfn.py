@@ -22,6 +22,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .signals import as_signal
+from .textio import format_rows
 
 __all__ = [
     "triangular_kernel",
@@ -236,8 +237,7 @@ class VarianceEstimate:
         lines = [f"# floor_eps {self.floor_eps:.17g}",
                  f"# bandwidth {self.bandwidth:.17g}",
                  f"# half_window {self.half_window}"]
-        lines.extend(f"{u:.17g} {v:.17g}" for u, v in zip(self.grid_u, self.values))
-        return lines
+        return lines + format_rows("%.17g %.17g", self.grid_u, self.values).splitlines()
 
     @classmethod
     def from_lines(cls, lines) -> "VarianceEstimate":

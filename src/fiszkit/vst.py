@@ -18,6 +18,8 @@ import numpy as np
 
 from .estimator import EstimatorConfig, apply_threshold, coefficient_sd, universal_factor
 from .signals import as_signal
+from .textio import (data_rows, first_rejected, format_rows, level_index, row_blocks,
+                     row_line)
 from .varfn import VarianceEstimate, estimate_variance_function
 from .wavelet import (CoeffPyramid, WaveletBasis, basis_by_name, dwt_forward,
                       dwt_inverse, haar, local_means)
@@ -92,36 +94,81 @@ def denoise_via_vst(x, cfg: EstimatorConfig | None = None) -> np.ndarray:
 
 def divisors_as_lines(state: VstState) -> list[str]:
     """Serialise divisors as ``j k value`` lines with a basis header."""
-    lines = [f"# basis {state.basis.name}"]
-    for j, d in enumerate(state.divisors):
-        lines.extend(f"{j} {k} {v:.17g}" for k, v in enumerate(d.tolist(), start=1))
-    return lines
+    j, k = level_index(len(state.divisors))
+    rows = format_rows("%d %d %.17g", j, k, np.concatenate(state.divisors))
+    return [f"# basis {state.basis.name}", *rows.splitlines()]
+
+
+_MAX_LEVEL = 62  # deepest level whose 2^j positions fit an int64
+
+
+def _divisor_row(s: str) -> None:
+    """Check one ``j k value`` row on its own: the rule every row must pass."""
+    fields = s.split()
+    if len(fields) != 3:
+        raise ValueError(f"expected 3 fields 'j k value', found {len(fields)}")
+    j, k = int(fields[0]), int(fields[1])
+    float(fields[2])
+    if not (0 <= j <= _MAX_LEVEL and 1 <= k <= 1 << j):
+        raise ValueError(f"({j}, {k}) names no divisor: "
+                         f"need 0 <= j <= {_MAX_LEVEL} and 1 <= k <= 2^j")
+
+
+def _divisor_columns(rows: list[str]):
+    """The ``j``, ``k`` and value columns, or None if any row fails ``_divisor_row``."""
+    if set(map(len, map(str.split, rows))) != {3}:
+        return None
+    blocks = []
+    for b in row_blocks(len(rows)):
+        tokens = " ".join(rows[b]).split()
+        try:
+            blocks.append((np.array(tokens[0::3], dtype=np.int64),
+                           np.array(tokens[1::3], dtype=np.int64),
+                           np.array(tokens[2::3], dtype=float)))
+        except (ValueError, OverflowError):
+            return None
+    j, k, values = map(np.concatenate, zip(*blocks))
+    in_range = (j >= 0) & (j <= _MAX_LEVEL) & (k >= 1)
+    return (j, k, values) if np.all(in_range & (k <= 1 << np.where(in_range, j, 0))) else None
 
 
 def divisors_from_lines(lines) -> VstState:
-    entries = {}
+    """Parse a divisor file: a ``# basis NAME`` header and ``j k value`` lines.
+
+    Levels run from 0 to the deepest ``j`` listed, and every ``(j, k)`` with
+    1 <= k <= 2^j must appear exactly once, in any order. A line that is
+    not ``int int float``, names no such index or repeats one is rejected
+    with its line number; a missing index as ``missing divisor (j, k)``.
+    """
+    source = getattr(lines, "name", "divisor file")
+    stripped, rows = data_rows(lines)
     basis_name = "haar"
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            parts = line[1:].split()
-            if len(parts) == 2 and parts[0] == "basis":
-                basis_name = parts[1]
-            continue
-        j_s, k_s, v_s = line.split()
-        entries[(int(j_s), int(k_s))] = float(v_s)
-    if not entries:
+    for parts in [s[1:].split() for s in stripped if s[:1] == "#"]:
+        if len(parts) == 2 and parts[0] == "basis":
+            basis_name = parts[1]
+    if not rows:
         raise ValueError("empty divisor file")
-    n_levels = 1 + max(j for j, _ in entries)
-    divisors = []
-    for j in range(n_levels):
-        d = np.empty(1 << j)
-        for k in range(1 << j):
-            try:
-                d[k] = entries[(j, k + 1)]
-            except KeyError:
-                raise ValueError(f"missing divisor ({j}, {k + 1})") from None
-        divisors.append(d)
+    columns = _divisor_columns(rows)
+    if columns is None:
+        row, exc = first_rejected(rows, _divisor_row)
+        raise ValueError(f"{source}:{row_line(stripped, row)}: cannot read {rows[row]!r} "
+                         f"as a divisor: {exc}")
+    j, k, values = columns
+    flat = (1 << j) - 2 + k
+    order = np.argsort(flat, kind="stable")
+    ranked = flat[order]
+    repeats = np.flatnonzero(ranked[1:] == ranked[:-1])
+    if repeats.size:
+        row = int(order[repeats + 1].min())
+        raise ValueError(f"{source}:{row_line(stripped, row)}: duplicate divisor "
+                         f"({j[row]}, {k[row]})")
+    n_levels = int(j.max()) + 1
+    if ranked.size < (1 << n_levels) - 1:
+        # Entries are distinct and in range, so the first flat index that
+        # differs from its rank is the first one missing.
+        gaps = np.flatnonzero(ranked != np.arange(ranked.size))
+        f = int(gaps[0]) if gaps.size else ranked.size
+        level = (f + 1).bit_length() - 1
+        raise ValueError(f"missing divisor ({level}, {f + 2 - (1 << level)})")
+    divisors = np.split(values[order], (1 << np.arange(1, n_levels)) - 1)
     return VstState(divisors, basis_by_name(basis_name))

@@ -4,6 +4,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fiszkit import EstimatorConfig, VarianceEstimate, estimate
 from fiszkit.cli import main, read_series, write_series
@@ -11,6 +14,64 @@ from fiszkit.cli import main, read_series, write_series
 
 def run_cli(args):
     return main([str(a) for a in args])
+
+
+def read_series_oracle(path):
+    """The per-line reader that the whole-file ``read_series`` replaces."""
+    values = []
+    with open(path, encoding="utf-8") as f:
+        for lineno, raw in enumerate(f, start=1):
+            s = raw.strip()
+            if not s or s.startswith("#"):
+                continue
+            try:
+                values.append(float(s))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: cannot parse {s!r} as a number") from None
+    if not values:
+        raise ValueError(f"{path}: no data lines")
+    return np.asarray(values)
+
+
+def outcome(read, path):
+    """Bytes of what ``read`` returns, or the message it raises."""
+    try:
+        return read(path).tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+HEADER_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"),
+                      max_size=12)
+FILLER = st.sampled_from(["", "   ", "\t", "#", "# c", "  # indented comment", "#1.5"])
+
+
+class TestSeriesCodec:
+    @given(arrays(np.float64, st.integers(1, 40),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)),
+           st.lists(HEADER_TEXT, max_size=3),
+           st.lists(st.tuples(st.integers(0, 60), FILLER), max_size=6),
+           st.booleans())
+    @example(np.array([-0.0, 5e-324, 2.2250738585072009e-308, 1.7e308, -1.7976931348623157e308]),
+             [], [], True)
+    def test_write_then_read_is_bit_exact(self, tmp_path_factory, values, header, filler, crlf):
+        path = tmp_path_factory.mktemp("series") / "x.txt"
+        write_series(path, values, header)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        for at, text in filler:
+            lines.insert(min(at, len(lines)), text)
+        path.write_bytes(("\r\n" if crlf else "\n").join(lines).encode("utf-8"))
+        assert read_series(path).tobytes() == values.tobytes()
+
+    @given(st.lists(st.one_of(
+        st.floats().map(repr),
+        st.sampled_from(["1_0", "１２", " 2.5 ", "", "# c", "1.5 # c", "1 2", "abc",
+                         "-0", "1e400", "\u30002\u3000", "1__0"])), max_size=12),
+        st.booleans())
+    def test_accepts_and_rejects_what_the_line_loop_does(self, tmp_path_factory, lines, crlf):
+        path = tmp_path_factory.mktemp("series") / "x.txt"
+        path.write_bytes(("\r\n" if crlf else "\n").join(lines).encode("utf-8"))
+        assert outcome(read_series, path) == outcome(read_series_oracle, path)
 
 
 @pytest.fixture
@@ -200,6 +261,14 @@ class TestVst:
                         "--out", tmp_path / "xt.txt", "--divisors", tmp_path / "div.txt"]) == 0
         fixture = Path(__file__).parent / "data" / "vst_daub8_n1024_divisors.txt"
         assert (tmp_path / "div.txt").read_bytes() == fixture.read_bytes()
+
+    def test_inverse_with_bad_divisor_file_is_data_error(self, poisson_file, tmp_path, capsys):
+        div = tmp_path / "div.txt"
+        div.write_text("# basis haar\n0 1 1.0\n0 5 9.0\n")
+        assert run_cli(["vst", "inverse", "--in", poisson_file, "--out", tmp_path / "o.txt",
+                        "--divisors", div]) == 3
+        assert f"{div}:3: cannot read '0 5 9.0' as a divisor" in capsys.readouterr().err
+        assert not (tmp_path / "o.txt").exists()
 
 
 class TestBench:

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fiszkit import (EstimatorConfig, NoiseModel, SeedSpec, VarianceEstimate,
                      VstState, denoise_via_vst, dwt_forward, estimate,
                      estimate_variance_function, forward_vst, haar, inverse_vst,
                      make_blocks, sample_noise)
 from fiszkit.vst import divisors_as_lines, divisors_from_lines
+from fiszkit.wavelet import basis_by_name
 from test_wavelet import transform_matrix
 
 
@@ -136,5 +139,91 @@ class TestSerialization:
             np.testing.assert_array_equal(a, b)
 
     def test_missing_divisor_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^missing divisor \(1, 2\)$"):
             divisors_from_lines(["# basis haar", "0 1 1.0", "1 1 1.0"])
+        with pytest.raises(ValueError, match=r"^missing divisor \(0, 1\)$"):
+            divisors_from_lines(["40 1 1.0"])
+
+    @pytest.mark.parametrize("bad, reason", [
+        ("0 5 9.0", "names no divisor"),
+        ("-1 1 3.0", "names no divisor"),
+        ("1 0 3.0", "names no divisor"),
+        ("63 1 3.0", "names no divisor"),
+        ("99999999999999999999 1 3.0", "names no divisor"),
+        ("1 2", "expected 3 fields"),
+        ("1 2 3.0 4", "expected 3 fields"),
+        ("1.0 1 2", "invalid literal for int"),
+        ("1 1 x", "could not convert"),
+        ("1 1 2.0 # c", "expected 3 fields"),
+    ])
+    def test_bad_row_is_rejected_with_its_line(self, bad, reason):
+        lines = ["# basis haar", "0 1 1.0", "", "1 1 1.0", bad, "1 2 1.0"]
+        with pytest.raises(ValueError, match=f"^divisor file:5: cannot read '.*' as a divisor: "
+                                             f".*{reason}"):
+            divisors_from_lines(lines)
+
+    def test_duplicate_is_rejected_at_its_second_line(self):
+        lines = ["# basis haar", "1 2 1.0", "0 1 1.0", "# c", "1 1 1.0", "1 2 5.0"]
+        with pytest.raises(ValueError, match=r"^divisor file:6: duplicate divisor \(1, 2\)$"):
+            divisors_from_lines(lines)
+
+
+def divisors_oracle(lines):
+    """The dict-based parser the array parser replaces; valid files only."""
+    entries = {}
+    basis_name = "haar"
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            parts = line[1:].split()
+            if len(parts) == 2 and parts[0] == "basis":
+                basis_name = parts[1]
+            continue
+        j_s, k_s, v_s = line.split()
+        entries[(int(j_s), int(k_s))] = float(v_s)
+    n_levels = 1 + max(j for j, _ in entries)
+    divisors = [np.array([entries[(j, k + 1)] for k in range(1 << j)]) for j in range(n_levels)]
+    return VstState(divisors, basis_by_name(basis_name))
+
+
+POSITIVE = st.floats(min_value=5e-324, max_value=1.7e308)
+BASES = st.sampled_from(["haar", "daub4", "daub6", "daub8"])
+
+
+@st.composite
+def valid_divisor_files(draw):
+    n_levels = draw(st.integers(1, 6))
+    rows = [(j, k) for j in range(n_levels) for k in range(1, (1 << j) + 1)]
+    rows = draw(st.permutations(rows))
+    space = st.sampled_from([" ", "  ", "\t", " \t "])
+    integer = st.sampled_from(["{}", "+{}", "0{}", " {} "])
+    lines = []
+    for j, k in rows:
+        value = draw(POSITIVE)
+        text = draw(st.sampled_from([repr(value), "%.17g" % value, " %r\r\n" % value]))
+        lines.append(draw(integer).format(j) + draw(space) + draw(integer).format(k)
+                     + draw(space) + text)
+    for _ in range(draw(st.integers(0, 4))):
+        filler = draw(st.sampled_from(["", "  ", "# note", "# basis " + draw(BASES),
+                                       "#basis daub4 extra"]))
+        lines.insert(draw(st.integers(0, len(lines))), filler)
+    return lines
+
+
+class TestDivisorCodec:
+    @given(st.integers(1, 9), BASES, st.data())
+    def test_round_trip_is_bit_exact(self, n_levels, basis, data):
+        divisors = [np.array(data.draw(st.lists(POSITIVE, min_size=1 << j, max_size=1 << j)))
+                    for j in range(n_levels)]
+        back = divisors_from_lines(divisors_as_lines(VstState(list(divisors),
+                                                               basis_by_name(basis))))
+        assert back.basis.name == basis
+        assert [d.tobytes() for d in back.divisors] == [d.tobytes() for d in divisors]
+
+    @given(valid_divisor_files())
+    def test_matches_dict_parser_on_valid_files(self, lines):
+        got, want = divisors_from_lines(lines), divisors_oracle(lines)
+        assert got.basis.name == want.basis.name
+        assert [d.tobytes() for d in got.divisors] == [d.tobytes() for d in want.divisors]
