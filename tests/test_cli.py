@@ -8,7 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fiszkit import EstimatorConfig, VarianceEstimate, estimate
+from fiszkit import EstimatorConfig, estimate
 from fiszkit.cli import main, read_series, write_series
 
 
@@ -229,13 +229,17 @@ class TestVarfn:
     def test_step_function_round_trips(self, poisson_file, tmp_path):
         out = tmp_path / "h.txt"
         assert run_cli(["varfn", "--in", poisson_file, "--out", out, "--emit-plots"]) == 0
-        with open(out) as f:
-            est = VarianceEstimate.from_lines(f)
-        assert est.grid_u.size == 256
-        assert np.all(np.diff(est.values) >= 0)
+        head = out.read_text().splitlines()[:3]
+        assert [line.split()[:2] for line in head] == [
+            ["#", "floor_eps"], ["#", "bandwidth"], ["#", "half_window"]]
+        assert float(head[0].split()[2]) > 0 and float(head[1].split()[2]) > 0
+        assert head[2] == "# half_window 3"
+        grid, values = np.loadtxt(out, unpack=True)
+        assert grid.size == 256
+        assert np.all(np.diff(grid) > 0) and np.all(np.diff(values) >= 0)
         sqrt_lines = (tmp_path / "h_sqrt.txt").read_text().strip().splitlines()
         u0, s0 = map(float, sqrt_lines[0].split())
-        assert s0 == pytest.approx(np.sqrt(est.values[0]))
+        assert s0 == pytest.approx(np.sqrt(values[0]))
 
 
 class TestVst:

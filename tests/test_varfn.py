@@ -28,6 +28,46 @@ def nw_oracle(alpha_hat, resid_sq, b, grid):
     return out
 
 
+def nw_window_oracle(fit, bandwidth, grid_u):
+    """The per-grid-point loop that the blocked gather replaces."""
+    order = np.argsort(fit.alpha_hat, kind="stable")
+    alpha, resid_sq = fit.alpha_hat[order], fit.residuals_sq[order]
+    reach = 0.5 * bandwidth * (1.0 + 16 * np.finfo(float).eps) + 4 * np.spacing(np.abs(grid_u))
+    lo = np.searchsorted(alpha, grid_u - reach, side="left")
+    hi = np.searchsorted(alpha, grid_u + reach, side="right")
+    mass = np.empty(grid_u.size)
+    num = np.empty(grid_u.size)
+    for i, (u, start, stop) in enumerate(zip(grid_u, lo, hi)):
+        w = triangular_kernel((alpha[start:stop] - u) / bandwidth)
+        mass[i] = w.sum()
+        num[i] = w @ resid_sq[start:stop]
+    populated = mass > 0
+    raw = np.full(mass.size, np.nan)
+    raw[populated] = num[populated] / mass[populated]
+    return raw, populated
+
+
+def pava_scalar_oracle(values, weights):
+    """The scan on numpy scalars, with one ``np.sum`` pair per block."""
+    ends, wsum, wvsum = [], [], []
+    for i, (v, w) in enumerate(zip(values, weights)):
+        ends.append(i + 1)
+        wsum.append(w)
+        wvsum.append(w * v)
+        while len(ends) > 1 and wvsum[-2] * wsum[-1] > wvsum[-1] * wsum[-2]:
+            ends[-2] = ends[-1]
+            wsum[-2] += wsum[-1]
+            wvsum[-2] += wvsum[-1]
+            ends.pop(), wsum.pop(), wvsum.pop()
+    out = np.empty_like(values)
+    start = 0
+    for end in ends:
+        block = slice(start, end)
+        out[block] = np.sum(weights[block] * values[block]) / np.sum(weights[block])
+        start = end
+    return out
+
+
 @st.composite
 def random_cases(draw):
     """Fitted values, squared residuals, bandwidth and grid drawn independently."""
@@ -56,6 +96,40 @@ def window_edge_cases(draw):
     alpha = pool[picks]
     resid = draw(arrays(float, alpha.size, elements=st.floats(0.0, 5.0)))
     return alpha, resid, b, grid
+
+
+@st.composite
+def gapped_cases(draw):
+    """Two clusters of fitted values on a grid wider than both.
+
+    Every case has empty windows at both ends and between the clusters:
+    b/2 <= 0.75, the end grid points lie 2 or more from the nearest cluster,
+    and the grid spacing of at most 2 puts a point in (1.75, 4.25).
+    """
+    left = draw(arrays(float, st.integers(1, 40), elements=st.floats(0.0, 1.0)))
+    right = draw(arrays(float, st.integers(1, 40), elements=st.floats(5.0, 6.0)))
+    alpha = draw(st.permutations(np.concatenate([left, right]).tolist()))
+    resid = draw(arrays(float, len(alpha), elements=st.floats(0.0, 5.0)))
+    grid = np.linspace(-2.0 - draw(st.floats(0.0, 2.0)), 8.0 + draw(st.floats(0.0, 2.0)),
+                       draw(st.integers(8, 64)))
+    return np.array(alpha), resid, draw(st.floats(0.05, 1.5)), grid
+
+
+@st.composite
+def multi_block_cases(draw):
+    """Hundreds to thousands of samples under 256 wide windows.
+
+    With a bandwidth wider than the range each window holds all n samples;
+    with one of 0.1 to 1 range the windows differ in size, so blocks end at
+    varied windows. Each sample then falls in 25 or more windows, so the
+    windows add up to several blocks of at most max(n, 2**12) samples.
+    """
+    n = draw(st.integers(600, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    alpha = rng.uniform(1.0, 9.0, size=n) ** draw(st.sampled_from([1.0, 2.0]))
+    resid = rng.exponential(size=n)
+    b = np.ptp(alpha) * draw(st.floats(0.1, 1.0) | st.floats(1.5, 1e5))
+    return alpha, resid, b, np.linspace(alpha.min(), alpha.max(), 256)
 
 
 def pava_oracle(values, weights):
@@ -162,6 +236,30 @@ class TestKernelSmoother:
         np.testing.assert_array_equal(populated, ~np.isnan(want))
         np.testing.assert_allclose(got[populated], want[populated], rtol=1e-12, atol=0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(random_cases(), window_edge_cases(), gapped_cases()))
+    def test_matches_window_loop(self, case):
+        alpha, resid, b, grid = case
+        fit = PreliminaryFit(alpha, resid, 0)
+        want, want_populated = nw_window_oracle(fit, b, grid)
+        if not want_populated.any():
+            with pytest.raises(ValueError, match="no grid point"):
+                nw_variance_raw(fit, b, grid)
+            return
+        got, populated = nw_variance_raw(fit, b, grid)
+        np.testing.assert_array_equal(populated, want_populated)
+        np.testing.assert_allclose(got[populated], want[populated], rtol=1e-14, atol=0)
+
+    @settings(max_examples=20, deadline=None)
+    @given(multi_block_cases())
+    def test_matches_window_loop_across_blocks(self, case):
+        alpha, resid, b, grid = case
+        fit = PreliminaryFit(alpha, resid, 0)
+        want, want_populated = nw_window_oracle(fit, b, grid)
+        got, populated = nw_variance_raw(fit, b, grid)
+        np.testing.assert_array_equal(populated, want_populated)
+        np.testing.assert_allclose(got[populated], want[populated], rtol=1e-14, atol=0)
+
     def test_leaves_the_fit_unsorted(self):
         fit = PreliminaryFit(np.array([3.0, 1.0, 2.0, 1.0]), np.array([4.0, 1.0, 2.0, 3.0]), 0)
         nw_variance_raw(fit, 1.5, np.linspace(1.0, 3.0, 5))
@@ -191,6 +289,25 @@ class TestPava:
     def test_matches_partition_oracle_property(self, data):
         v, w = data
         np.testing.assert_allclose(pava_isotone(v, w), pava_oracle(v, w), rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_bit_identical_to_scalar_scan(self, data):
+        n = data.draw(st.integers(1, 300))
+        # A few levels repeated in runs give ties and plateaus.
+        levels = data.draw(st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=8))
+        runs = data.draw(st.lists(st.tuples(st.integers(0, len(levels) - 1), st.integers(1, 40)),
+                                  min_size=1, max_size=n))
+        v = np.repeat([levels[i] for i, _ in runs], [k for _, k in runs])[:n]
+        v = np.concatenate([v, data.draw(arrays(float, n - v.size,
+                                                elements=st.floats(-50.0, 50.0)))])
+        if data.draw(st.booleans()):
+            w = np.ones(n)
+            got = pava_isotone(v)
+        else:
+            w = data.draw(arrays(float, n, elements=st.floats(0.01, 100.0)))
+            got = pava_isotone(v, w)
+        np.testing.assert_array_equal(got, pava_scalar_oracle(v, w))
 
     def test_idempotent(self):
         rng = np.random.default_rng(34)
@@ -276,11 +393,14 @@ class TestEstimatePipeline:
         truth = make_blocks(512, 1.0, 8.0)
         x = sample_noise(truth, NoiseModel("poisson"), SeedSpec(42, 1))
         est = estimate_variance_function(x)
-        back = VarianceEstimate.from_lines(est.as_lines())
-        np.testing.assert_array_equal(back.grid_u, est.grid_u)
-        np.testing.assert_array_equal(back.values, est.values)
-        assert back.floor_eps == est.floor_eps
-        assert back.bandwidth == est.bandwidth
+        lines = est.as_lines()
+        assert lines[:3] == [f"# floor_eps {est.floor_eps:.17g}",
+                             f"# bandwidth {est.bandwidth:.17g}", "# half_window 3"]
+        assert float(lines[0].split()[2]) == est.floor_eps
+        assert float(lines[1].split()[2]) == est.bandwidth
+        grid, values = np.loadtxt(lines, unpack=True)
+        assert grid.tobytes() == est.grid_u.tobytes()
+        assert values.tobytes() == est.values.tobytes()
 
     def test_overflowing_residuals_rejected(self):
         truth = make_blocks(256, 1.0, 22.6)
@@ -300,6 +420,18 @@ class TestEstimatePipeline:
         finally:
             tracemalloc.stop()
         assert peak <= 16 * 8 * n  # a grid x n kernel matrix alone is 256 arrays of n doubles
+
+    def test_fit_memory_is_linear_when_every_window_holds_all_samples(self):
+        n = 1 << 16
+        x = sample_noise(make_bumps(n, 3.0, 23.21), NoiseModel("exponential"), SeedSpec(44, 1))
+        tracemalloc.start()
+        try:
+            est = estimate_variance_function(x, VarFnConfig(half_window=1, bandwidth=1e6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.bandwidth > est.grid_u[-1] - est.grid_u[0]
+        assert peak <= 16 * 8 * n  # the 256 windows gathered at once are 256 arrays of n doubles
 
     def test_too_short_for_window_rejected(self):
         with pytest.raises(ValueError, match=r"length 4 .* M = 3 .* 2M\+1 = 7"):
