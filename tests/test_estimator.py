@@ -21,6 +21,14 @@ H_SQUARE = lambda u: np.asarray(u, dtype=float) ** 2
 ALL_BASES = [haar(), daubechies(4), daubechies(6), daubechies(8)]
 
 
+def mad_window_stack(values, window):
+    """Running MAD from ``np.median`` over the full stack of periodic windows."""
+    w = min(window, values.shape[-1])
+    stack = np.stack([np.roll(values, -o, axis=-1) for o in np.arange(w) - w // 2])
+    med = np.median(stack, axis=0)
+    return np.median(np.abs(stack - med), axis=0)
+
+
 def shift_list(n: int, cfg: EstimatorConfig) -> range:
     """The shifts the estimator averages: the first n/stride consecutive ones."""
     if not cfg.translation_invariant:
@@ -351,6 +359,30 @@ class TestEstimate:
                 estimate(x * 1e300, EstimatorConfig(known_variance=H_SQUARE,
                                                     translation_invariant=False))
 
+    def test_data_near_float_max_reports_overflow(self):
+        # sums of two neighbours overflow; every numpy warning is an error here
+        x = np.full(64, 1.5e308)
+        x[::5] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="wavelet coefficients overflow"):
+                baseline_mad_estimate(x)
+            with pytest.raises(ValueError, match="wavelet coefficients overflow"):
+                baseline_mad_estimate(x, EstimatorConfig(translation_invariant=False))
+            for h in (H_POISSON, H_SQUARE):
+                with pytest.raises(ValueError, match="local means overflow"):
+                    estimate(x, EstimatorConfig(known_variance=h))
+
+    def test_overflowing_output_reported(self):
+        # zero thresholds keep every coefficient, so only the check of the
+        # averaged output sees the overflow
+        x = np.full(16, 1.5e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="wavelet coefficients overflow"):
+                cycle_spin(x, haar(), 16, 4, lambda j, r, rows: np.zeros(rows.shape),
+                           hard_threshold)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             EstimatorConfig(rule="block")
@@ -379,11 +411,35 @@ class TestBaseline:
         # the last two take several column blocks
         values = np.random.default_rng(66).normal(size=shape)
         values[..., ::3] = np.round(values[..., ::3])  # ties
-        w = min(window, shape[-1])
-        stack = np.stack([np.roll(values, -o, axis=-1) for o in np.arange(w) - w // 2])
-        med = np.median(stack, axis=0)
         np.testing.assert_array_equal(_running_mad(values, window),
-                                      np.median(np.abs(stack - med), axis=0))
+                                      mad_window_stack(values, window))
+
+    @settings(max_examples=300)
+    @given(st.integers(1, 3), st.integers(1, 40), st.data())
+    def test_running_mad_property(self, rows, m, data):
+        # ties from a small value set, and NaN or ±inf in some windows
+        values = data.draw(arrays(float, (rows, m), elements=st.one_of(
+            st.sampled_from([-1.5, 0.0, 0.25, 2.0]), st.floats(-1e3, 1e3),
+            st.sampled_from([np.nan, np.inf, -np.inf]))))
+        window = data.draw(st.integers(1, 2 * m))
+        with np.errstate(invalid="ignore"):  # inf - inf in a window is NaN, as in np.median
+            np.testing.assert_array_equal(_running_mad(values, window),
+                                          mad_window_stack(values, window))
+
+    @pytest.mark.parametrize("shape, window", [((3, 1500), 64), ((2, 2048), 129),
+                                               ((5, 700), 30)])
+    def test_running_mad_nonfinite_over_blocks(self, shape, window):
+        # even and odd windows over several column blocks, NaN and ±inf inside
+        values = np.random.default_rng(68).normal(size=shape)
+        values[..., ::4] = np.round(values[..., ::4])
+        values[0, 100] = np.nan
+        values[-1, 333] = np.inf
+        values[-1, 600] = -np.inf
+        with np.errstate(invalid="ignore"):
+            got = _running_mad(values, window)
+            np.testing.assert_array_equal(got, mad_window_stack(values, window))
+        lead = window // 2  # position p's window starts at p - lead
+        assert np.isnan(got[0, 100 + lead - window + 1:100 + lead + 1]).all()
 
     def test_running_mad_memory_is_linear(self):
         # full averaging at n = 2^14: the finest thresholded level (j = 11)

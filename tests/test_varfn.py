@@ -216,6 +216,13 @@ class TestKernelSmoother:
         with pytest.raises(ValueError):
             nw_variance_raw(fit, 0.0, np.array([1.0]))
 
+    def test_nan_bandwidth_rejected(self):
+        fit = preliminary_fit(np.arange(8.0) + 1, 1)
+        with pytest.raises(ValueError, match="bandwidth must be positive"):
+            nw_variance_raw(fit, float("nan"), np.array([1.0]))
+        with pytest.raises(ValueError, match="bandwidth must be positive"):
+            VarFnConfig(bandwidth=float("nan"))
+
     def test_samples_on_window_ends_get_no_weight(self):
         fit = PreliminaryFit(np.array([0.75, 1.25, 2.0]), np.array([1.0, 2.0, 3.0]), 0)
         values, populated = nw_variance_raw(fit, 0.5, np.array([1.0, 2.0]))
@@ -376,6 +383,44 @@ class TestEstimatePipeline:
         est = VarianceEstimate(grid, np.arange(grid.size, dtype=float), 1e-9)
         below = [i for i, g in enumerate(grid) if g <= u]
         assert est.query(u) == (below[-1] if below else 0)
+
+    @settings(max_examples=200)
+    @given(st.integers(2, 512), st.floats(-8.0, 8.0), st.floats(-1e9, 1e9),
+           st.integers(0, 2**32 - 1))
+    def test_query_matches_searchsorted_on_linspace_grids(self, size, log_span, offset, seed):
+        # the grids the fit builds; u on and within 2 ulps of every knot,
+        # outside the grid and at ±inf
+        grid = np.linspace(offset, offset + 10.0 ** log_span, size)
+        est = VarianceEstimate(grid, np.arange(size) + 0.5, 1e-9)
+        near = [grid]
+        for towards in (np.inf, -np.inf):
+            step = grid
+            for _ in range(2):
+                step = np.nextafter(step, towards)
+                near.append(step)
+        span = grid[-1] - grid[0]
+        u = np.concatenate(near + [[grid[0] - span - 1.0, grid[-1] + span + 1.0,
+                                    0.5 * (grid[0] + grid[-1]), np.inf, -np.inf]])
+        u = np.random.default_rng(seed).permutation(u).reshape(-1, 5)  # 5 (size + 1) values
+        expected = est.values[np.searchsorted(grid[1:], u, side="right")]
+        np.testing.assert_array_equal(est.query(u), expected)
+        for v, e in zip(u[:, 0].tolist(), expected[:, 0].tolist()):
+            assert est.query(v) == e
+
+    def test_query_on_zero_span_grid(self):
+        # constant data gives a grid of equal knots: the top value from the knot up
+        est = VarianceEstimate(np.linspace(3.0, 3.0, 256), np.arange(256.0), 1e-9)
+        u = np.array([[-np.inf, 2.0, np.nextafter(3.0, 0.0)], [3.0, 4.0, np.inf]])
+        np.testing.assert_array_equal(est.query(u), [[0.0, 0.0, 0.0], [255.0, 255.0, 255.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no divide-by-zero warning
+            assert est.query(3.0) == 255.0
+
+    def test_query_nan_gives_nan(self):
+        est = VarianceEstimate(np.linspace(0.0, 1.0, 5), np.arange(5.0), 1e-9)
+        assert np.isnan(est.query(float("nan")))
+        q = est.query(np.array([[0.3, np.nan], [np.nan, 2.0]]))
+        np.testing.assert_array_equal(q, [[1.0, np.nan], [np.nan, 4.0]])
 
     def test_pava_stage_identity_on_monotone_grid(self):
         v = np.array([0.5, 0.5, 1.0, 2.0, 2.0, 3.5])
