@@ -68,7 +68,6 @@ class PreliminaryFit:
 
     alpha_hat: np.ndarray
     residuals_sq: np.ndarray
-    half_window: int
 
 
 def preliminary_fit(x, half_window: int) -> PreliminaryFit:
@@ -78,7 +77,7 @@ def preliminary_fit(x, half_window: int) -> PreliminaryFit:
         residuals_sq = (x - fit) ** 2
     if not np.all(np.isfinite(residuals_sq)):
         raise ValueError("squared residuals are not finite: they overflow at this data scale")
-    return PreliminaryFit(fit, residuals_sq, half_window)
+    return PreliminaryFit(fit, residuals_sq)
 
 
 def _fill_from_nearest(values: np.ndarray, populated: np.ndarray) -> np.ndarray:
@@ -200,7 +199,7 @@ def default_bandwidth(alpha_hat, grid_size: int = 256) -> float:
     alpha_hat = np.asarray(alpha_hat, dtype=float)
     spread = float(alpha_hat.max() - alpha_hat.min())
     if spread <= 0:
-        return 0.2 * (abs(float(alpha_hat.mean())) + 1.0)
+        return 0.2 * (abs(float(alpha_hat[0])) + 1.0)
     return max(0.2 * spread * alpha_hat.size ** -0.2, spread / grid_size)
 
 

@@ -2,27 +2,25 @@
 
 The forward transform divides every detail coefficient by the estimated
 standard deviation of that coefficient (square root of the fitted
-variance map evaluated at the coefficient's local data mean), leaving the
-smooth coefficient alone, and returns to the time domain. The transform
-is exactly invertible given the recorded divisors, and composing it with
-plain universal-threshold shrinkage reproduces the mean-linked denoiser
-coefficient for coefficient.
+variance map at the coefficient's local data mean), leaving the smooth
+coefficient alone: one unshifted :func:`fiszkit.wavelet.cycle_spin` pass
+that divides where the denoiser shrinks. Multiplying back by the recorded
+divisors inverts it exactly, and composing it with universal-threshold
+shrinkage reproduces the mean-linked denoiser coefficient for coefficient.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimator import EstimatorConfig, apply_threshold, coefficient_sd, universal_factor
+from .estimator import EstimatorConfig, coefficient_sd, estimate
 from .signals import as_signal
 from .textio import (data_rows, first_rejected, format_rows, level_index, row_blocks,
                      row_line)
 from .varfn import VarianceEstimate, estimate_variance_function
-from .wavelet import (CoeffPyramid, WaveletBasis, basis_by_name, dwt_forward,
-                      dwt_inverse, haar, local_means)
+from .wavelet import WaveletBasis, basis_by_name, cycle_spin, haar, shifted_local_means
 
 __all__ = ["VstState", "forward_vst", "inverse_vst", "denoise_via_vst",
            "divisors_as_lines", "divisors_from_lines"]
@@ -34,16 +32,14 @@ class VstState:
 
     divisors: list[np.ndarray]
     basis: WaveletBasis
-    variance_fn: Optional[VarianceEstimate] = None
 
     def __post_init__(self):
         for j, d in enumerate(self.divisors):
-            d = np.asarray(d, dtype=float)
+            self.divisors[j] = d = np.asarray(d, dtype=float)
             if d.shape != (1 << j,):
                 raise ValueError(f"divisor level {j} must hold {1 << j} values")
             if not np.all(d > 0):
                 raise ValueError(f"divisors must be strictly positive (level {j})")
-            self.divisors[j] = d
 
 
 def forward_vst(x, hhat: VarianceEstimate,
@@ -51,13 +47,16 @@ def forward_vst(x, hhat: VarianceEstimate,
     """Divide every detail coefficient by its estimated standard deviation."""
     x = as_signal(x)
     basis = basis or haar()
-    p = dwt_forward(x, basis)
-    lm = local_means(x, basis)
-    floor = np.sqrt(hhat.floor_eps)
-    divisors = [np.maximum(coefficient_sd(lm[j], hhat.query, j), floor)
-                for j in range(p.n_levels)]
-    q = CoeffPyramid([d / div for d, div in zip(p.details, divisors)], p.smooth)
-    return dwt_inverse(q, basis), VstState(divisors, basis, hhat)
+    means = shifted_local_means(x, basis)
+
+    def divisors(j, residues, _rows):
+        d = np.maximum(coefficient_sd(means(j, residues), hhat.query, j), np.sqrt(hhat.floor_eps))
+        if not np.all(d > 0):  # checked before the division, which would warn
+            raise ValueError(f"divisors must be strictly positive (level {j})")
+        return d
+
+    xt, divs, _ = cycle_spin(x, basis, 1, x.size.bit_length() - 1, divisors, np.divide)
+    return xt, VstState(divs, basis)
 
 
 def inverse_vst(y, state: VstState) -> np.ndarray:
@@ -66,9 +65,8 @@ def inverse_vst(y, state: VstState) -> np.ndarray:
     if y.size != 1 << len(state.divisors):
         raise ValueError(f"length {y.size} does not match recorded divisors "
                          f"({1 << len(state.divisors)})")
-    p = dwt_forward(y, state.basis)
-    q = CoeffPyramid([d * div for d, div in zip(p.details, state.divisors)], p.smooth)
-    return dwt_inverse(q, state.basis)
+    return cycle_spin(y, state.basis, 1, len(state.divisors),
+                      lambda j, _r, _rows: state.divisors[j][None], np.multiply)[0]
 
 
 def denoise_via_vst(x, cfg: EstimatorConfig | None = None) -> np.ndarray:
@@ -81,15 +79,9 @@ def denoise_via_vst(x, cfg: EstimatorConfig | None = None) -> np.ndarray:
     cfg = cfg or EstimatorConfig()
     if cfg.known_variance is not None:
         raise ValueError("the stabilised route requires a data-estimated variance map")
-    x = as_signal(x)
-    max_level = cfg.resolve_max_level(x.size.bit_length() - 1)
-    hhat = estimate_variance_function(x, cfg.varfn)
-    xt, state = forward_vst(x, hhat, cfg.basis)
-    p = dwt_forward(xt, cfg.basis)
-    lam = universal_factor(max_level)
-    thresholds = [np.full(1 << j, lam) for j in range(max_level)]
-    q = apply_threshold(p, thresholds, cfg.rule, max_level)
-    return inverse_vst(dwt_inverse(q, cfg.basis), state)
+    xt, state = forward_vst(x, estimate_variance_function(x, cfg.varfn), cfg.basis)
+    unit = replace(cfg, translation_invariant=False, known_variance=np.ones_like)
+    return inverse_vst(estimate(xt, unit).values, state)
 
 
 def divisors_as_lines(state: VstState) -> list[str]:

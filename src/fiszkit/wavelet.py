@@ -295,7 +295,8 @@ def cycle_spin(x, basis: WaveletBasis, shifts: int, max_level: int,
     by ``shrink(detail, threshold)``, the finer levels zeroed and the smooth
     kept, then synthesised. ``threshold_fn(j, residues, rows)`` receives the
     level-j detail rows of the shifts ``residues`` and returns their
-    thresholds, one per coefficient.
+    thresholds, one per coefficient. ``shrink`` may be any elementwise map
+    of the two: one pass with ``shifts=1`` and ``np.divide`` is the VST.
 
     Shifts congruent modulo 2^d share their depth-d coefficients up to a
     rotation, so the transform is a table (Coifman & Donoho 1995): depth d

@@ -233,17 +233,48 @@ def test_overflowing_data_is_data_error(argv, poisson_file, tmp_path):
     (["--baseline", "--no-ti"], "wavelet coefficients overflow"),
     (["--known-h", "poisson"], "local means overflow"),
     (["--known-h", "exponential"], "local means overflow"),
+    (["vst", "inverse", "--divisors", "unit.txt"], "wavelet coefficients overflow"),
 ], ids=lambda a: " ".join(a) if isinstance(a, list) else None)
 def test_data_near_float_max_is_overflow_error(flags, message, tmp_path, capsys):
     x = np.full(64, 1.5e308)
     x[::5] = 1.0
     write_series(tmp_path / "huge.txt", x)
+    unit = tmp_path / "unit.txt"
+    unit.write_text("# basis haar\n" + "".join(f"{j} {k} 1\n" for j in range(6)
+                                                 for k in range(1, (1 << j) + 1)))
+    argv = flags if flags[0] == "vst" else ["estimate", *flags]
+    argv = [unit if a == "unit.txt" else a for a in argv]
     out = tmp_path / "o.txt"
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the error line is the only report
-        assert run_cli(["estimate", "--in", tmp_path / "huge.txt", "--out", out] + flags) == 3
+        assert run_cli(argv + ["--in", tmp_path / "huge.txt", "--out", out]) == 3
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate"],
+    ["vst", "forward", "--divisors", "div.txt"],
+], ids=" ".join)
+def test_constant_data_near_float_max_is_overflow_error(argv, tmp_path, capsys):
+    write_series(tmp_path / "const.txt", np.full(64, 1.5e308))
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = [out / a if a == "div.txt" else a for a in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the error line is the only report
+        assert run_cli(argv + ["--in", tmp_path / "const.txt", "--out", out / "o.txt"]) == 3
+    assert "local means overflow" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_constant_data_near_float_max_has_finite_bandwidth(tmp_path):
+    write_series(tmp_path / "const.txt", np.full(64, 1.5e308))
+    out = tmp_path / "h.txt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow in a mean of the fitted values
+        assert run_cli(["varfn", "--M", 1, "--in", tmp_path / "const.txt", "--out", out]) == 0
+    assert out.read_text().splitlines()[1] == f"# bandwidth {0.2 * (1.5e308 + 1.0):.17g}"
 
 
 class TestVarfn:

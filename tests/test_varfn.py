@@ -188,7 +188,7 @@ class TestKernelSmoother:
         assert populated.all()
 
     def test_single_cluster_average(self):
-        fit = PreliminaryFit(np.array([5.0, 5.0]), np.array([1.0, 3.0]), 0)
+        fit = PreliminaryFit(np.array([5.0, 5.0]), np.array([1.0, 3.0]))
         assert nw_variance_raw(fit, 1.0, np.array([5.0]))[0][0] == pytest.approx(2.0)
 
     def test_matches_double_loop_oracle(self):
@@ -207,8 +207,8 @@ class TestKernelSmoother:
         a = rng.uniform(0.0, 4.0, size=50)
         r = rng.uniform(0.0, 2.0, size=50)
         grid = np.linspace(0.0, 4.0, 21)
-        base, _ = nw_variance_raw(PreliminaryFit(a, r, 0), 0.7, grid)
-        moved, _ = nw_variance_raw(PreliminaryFit(a + 11.5, r, 0), 0.7, grid + 11.5)
+        base, _ = nw_variance_raw(PreliminaryFit(a, r), 0.7, grid)
+        moved, _ = nw_variance_raw(PreliminaryFit(a + 11.5, r), 0.7, grid + 11.5)
         np.testing.assert_allclose(moved, base, rtol=1e-12)
 
     def test_nonpositive_bandwidth_rejected(self):
@@ -224,7 +224,7 @@ class TestKernelSmoother:
             VarFnConfig(bandwidth=float("nan"))
 
     def test_samples_on_window_ends_get_no_weight(self):
-        fit = PreliminaryFit(np.array([0.75, 1.25, 2.0]), np.array([1.0, 2.0, 3.0]), 0)
+        fit = PreliminaryFit(np.array([0.75, 1.25, 2.0]), np.array([1.0, 2.0, 3.0]))
         values, populated = nw_variance_raw(fit, 0.5, np.array([1.0, 2.0]))
         np.testing.assert_array_equal(populated, [False, True])
         np.testing.assert_array_equal(values, [3.0, 3.0])
@@ -233,7 +233,7 @@ class TestKernelSmoother:
     @given(st.one_of(random_cases(), window_edge_cases()))
     def test_matches_oracle_property(self, case):
         alpha, resid, b, grid = case
-        fit = PreliminaryFit(alpha, resid, 0)
+        fit = PreliminaryFit(alpha, resid)
         want = nw_oracle(alpha, resid, b, grid)
         if np.all(np.isnan(want)):
             with pytest.raises(ValueError):
@@ -247,7 +247,7 @@ class TestKernelSmoother:
     @given(st.one_of(random_cases(), window_edge_cases(), gapped_cases()))
     def test_matches_window_loop(self, case):
         alpha, resid, b, grid = case
-        fit = PreliminaryFit(alpha, resid, 0)
+        fit = PreliminaryFit(alpha, resid)
         want, want_populated = nw_window_oracle(fit, b, grid)
         if not want_populated.any():
             with pytest.raises(ValueError, match="no grid point"):
@@ -261,14 +261,14 @@ class TestKernelSmoother:
     @given(multi_block_cases())
     def test_matches_window_loop_across_blocks(self, case):
         alpha, resid, b, grid = case
-        fit = PreliminaryFit(alpha, resid, 0)
+        fit = PreliminaryFit(alpha, resid)
         want, want_populated = nw_window_oracle(fit, b, grid)
         got, populated = nw_variance_raw(fit, b, grid)
         np.testing.assert_array_equal(populated, want_populated)
         np.testing.assert_allclose(got[populated], want[populated], rtol=1e-14, atol=0)
 
     def test_leaves_the_fit_unsorted(self):
-        fit = PreliminaryFit(np.array([3.0, 1.0, 2.0, 1.0]), np.array([4.0, 1.0, 2.0, 3.0]), 0)
+        fit = PreliminaryFit(np.array([3.0, 1.0, 2.0, 1.0]), np.array([4.0, 1.0, 2.0, 3.0]))
         nw_variance_raw(fit, 1.5, np.linspace(1.0, 3.0, 5))
         np.testing.assert_array_equal(fit.alpha_hat, [3.0, 1.0, 2.0, 1.0])
         np.testing.assert_array_equal(fit.residuals_sq, [4.0, 1.0, 2.0, 3.0])
@@ -348,6 +348,14 @@ class TestDefaultBandwidth:
 
     def test_constant_fallback_positive(self):
         assert default_bandwidth(np.full(64, 5.0)) == pytest.approx(0.2 * 6.0)
+
+    def test_constant_fallback_takes_the_one_value(self):
+        # the mean of 64 copies of 1.1 is 1.0999999999999999, and the mean of
+        # 64 copies of 1.5e308 overflows
+        assert default_bandwidth(np.full(64, 1.1)) == 0.2 * (1.1 + 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert default_bandwidth(np.full(64, -1.5e308)) == 0.2 * (1.5e308 + 1.0)
 
     def test_scales_with_range(self):
         a = np.linspace(0.0, 4.0, 512)

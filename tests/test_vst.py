@@ -1,12 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fiszkit import (EstimatorConfig, NoiseModel, SeedSpec, VarianceEstimate,
-                     VstState, denoise_via_vst, dwt_forward, estimate,
-                     estimate_variance_function, forward_vst, haar, inverse_vst,
-                     make_blocks, sample_noise)
+from fiszkit import (CoeffPyramid, EstimatorConfig, NoiseModel, SeedSpec, VarianceEstimate,
+                     VstState, apply_threshold, denoise_via_vst, dwt_forward, dwt_inverse,
+                     estimate, estimate_variance_function, forward_vst, haar, inverse_vst,
+                     local_means, make_blocks, sample_noise, universal_factor)
+from fiszkit.estimator import coefficient_sd
 from fiszkit.vst import divisors_as_lines, divisors_from_lines
 from fiszkit.wavelet import basis_by_name
 from test_wavelet import transform_matrix
@@ -14,6 +17,54 @@ from test_wavelet import transform_matrix
 
 def unit_variance_estimate():
     return VarianceEstimate(np.array([0.0, 1.0]), np.array([1.0, 1.0]), 1e-12)
+
+
+def vst_oracle(x, hhat, basis):
+    """The pyramid route the engine replaces: stabilised signal and divisors."""
+    p = dwt_forward(x, basis)
+    lm = local_means(x, basis)
+    floor = np.sqrt(hhat.floor_eps)
+    divisors = [np.maximum(coefficient_sd(lm[j], hhat.query, j), floor)
+                for j in range(p.n_levels)]
+    q = CoeffPyramid([d / div for d, div in zip(p.details, divisors)], p.smooth)
+    return dwt_inverse(q, basis), divisors
+
+
+def inverse_vst_oracle(y, divisors, basis):
+    p = dwt_forward(y, basis)
+    q = CoeffPyramid([d * div for d, div in zip(p.details, divisors)], p.smooth)
+    return dwt_inverse(q, basis)
+
+
+def denoise_via_vst_oracle(x, cfg):
+    """Stabilise, threshold the pyramid at the universal level, unstabilise."""
+    max_level = cfg.resolve_max_level(x.size.bit_length() - 1)
+    xt, divisors = vst_oracle(x, estimate_variance_function(x, cfg.varfn), cfg.basis)
+    lam = universal_factor(max_level)
+    q = apply_threshold(dwt_forward(xt, cfg.basis),
+                        [np.full(1 << j, lam) for j in range(max_level)], cfg.rule, max_level)
+    return inverse_vst_oracle(dwt_inverse(q, cfg.basis), divisors, cfg.basis)
+
+
+BASES = st.sampled_from(["haar", "daub4", "daub6", "daub8"])
+
+
+@st.composite
+def monotone_step_maps(draw):
+    """A positive nondecreasing step map on a sorted grid over [-60, 60].
+
+    Its values may fall below ``floor_eps``, so the divisor floor is hit.
+    """
+    size = draw(st.integers(1, 40))
+    grid = sorted(draw(st.lists(st.floats(-60.0, 60.0), min_size=size, max_size=size)))
+    steps = draw(st.lists(st.floats(0.0, 50.0), min_size=size, max_size=size))
+    values = np.cumsum(steps) + draw(st.floats(1e-6, 5.0))
+    floor_eps = draw(st.sampled_from([0.0, 1e-12, float(np.median(values))]))
+    return VarianceEstimate(np.array(grid), values, floor_eps)
+
+
+def assert_bits_equal(got, want):
+    assert [np.asarray(a).tobytes() for a in got] == [np.asarray(b).tobytes() for b in want]
 
 
 class TestForwardInverse:
@@ -84,6 +135,34 @@ class TestForwardInverse:
         with pytest.raises(ValueError):
             forward_vst(np.linspace(0.5, 1.5, 16), hhat)
 
+    def test_zero_divisor_rejected_before_dividing(self):
+        hhat = VarianceEstimate(np.array([0.0, 1.0]), np.array([0.0, 0.0]), 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no divide-by-zero warning before the error
+            with pytest.raises(ValueError,
+                               match=r"^divisors must be strictly positive \(level \d+\)$"):
+                forward_vst(np.linspace(0.5, 1.5, 16), hhat)
+
+    def test_data_near_float_max_is_local_means_overflow(self):
+        x = np.full(64, 1.5e308)
+        x[::5] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the ValueError is the only report
+            with pytest.raises(ValueError, match="local means overflow"):
+                forward_vst(x, unit_variance_estimate())
+
+    @given(st.integers(1, 10), BASES, monotone_step_maps(), st.integers(0, 2**32 - 1))
+    def test_matches_pyramid_oracle_bit_for_bit(self, log_n, name, hhat, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-80.0, 80.0, size=1 << log_n)
+        basis = basis_by_name(name)
+        xt, state = forward_vst(x, hhat, basis)
+        want_xt, want_divisors = vst_oracle(x, hhat, basis)
+        assert_bits_equal([xt], [want_xt])
+        assert_bits_equal(state.divisors, want_divisors)
+        assert_bits_equal([inverse_vst(xt, state)],
+                          [inverse_vst_oracle(xt, want_divisors, basis)])
+
 
 class TestThreeStepRoute:
     def test_equals_direct_estimator_without_cycle_spinning(self):
@@ -108,7 +187,6 @@ class TestThreeStepRoute:
 
     def test_unit_map_reduces_to_universal_shrinkage(self):
         # with unit divisors the three steps collapse to plain thresholding
-        from fiszkit import apply_threshold, dwt_inverse, universal_factor
         rng = np.random.default_rng(78)
         x = rng.normal(loc=5.0, size=256)
         hhat = unit_variance_estimate()
@@ -121,6 +199,15 @@ class TestThreeStepRoute:
                                              [np.full(1 << j, lam) for j in range(6)],
                                              "hard", 6))
         np.testing.assert_allclose(via, direct, atol=1e-10)
+
+    @pytest.mark.parametrize("rule", ["hard", "soft"])
+    def test_matches_pyramid_composition_bit_for_bit(self, rule):
+        for n, basis in ((256, haar()), (512, basis_by_name("daub8"))):
+            cfg = EstimatorConfig(rule=rule, translation_invariant=False, basis=basis)
+            for seed in (1, 2, 3):
+                x = sample_noise(make_blocks(n, 1.0, 22.6), NoiseModel("poisson"),
+                                 SeedSpec(79, seed))
+                assert_bits_equal([denoise_via_vst(x, cfg)], [denoise_via_vst_oracle(x, cfg)])
 
     def test_known_variance_config_rejected(self):
         cfg = EstimatorConfig(known_variance=lambda u: np.asarray(u))
@@ -189,7 +276,6 @@ def divisors_oracle(lines):
 
 
 POSITIVE = st.floats(min_value=5e-324, max_value=1.7e308)
-BASES = st.sampled_from(["haar", "daub4", "daub6", "daub8"])
 
 
 @st.composite
