@@ -221,15 +221,14 @@ def _running_mad(values: np.ndarray, window: int) -> np.ndarray:
     ``_NETWORK_WIDTH`` values are sorted all at once by a compare-exchange
     network over w shifted views (:func:`_mad_of_columns`), wider ones
     gathered and sorted row by row (:func:`_mad_in_place`). At n = 2048
-    with 128 shifts, all levels take about 1.0 ms (4.1 ms with
-    ``np.median``); under full averaging at n = 2**14 the finest
-    thresholded level (w = 129) takes about 17 ms (70 ms).
+    with 128 shifts, all levels take about 1.3 ms (5.9 ms as ``np.median``
+    over the window stack); under full averaging at n = 2**14 the finest
+    thresholded level (w = 129) takes about 22 ms (186 ms).
     """
     m = values.shape[-1]
     w = min(window, m)
     lead = w // 2
     padded = np.concatenate([values[..., m - lead:], values, values[..., :w - 1 - lead]], axis=-1)
-    windows = np.lib.stride_tricks.sliding_window_view(padded, w, axis=-1)
     block_cols = max(1, max(8 * values.size, 1 << 16) // (w * (values.size // m)))
     out = np.empty(values.shape)
     for c in range(0, m, block_cols):
@@ -237,7 +236,8 @@ def _running_mad(values: np.ndarray, window: int) -> np.ndarray:
         if w <= _NETWORK_WIDTH:
             out[..., c:stop] = _mad_of_columns([padded[..., c + i:stop + i] for i in range(w)])
         else:
-            out[..., c:stop] = _mad_in_place(windows[..., c:stop, :].copy())
+            windows = np.lib.stride_tricks.sliding_window_view(padded[..., c:], w, axis=-1)
+            out[..., c:stop] = _mad_in_place(windows[..., :stop - c, :].copy())
     return out
 
 

@@ -111,10 +111,12 @@ def nw_variance_raw(fit: PreliminaryFit, bandwidth: float,
     array of at most max(n, 2**12) samples (at n = 2048, blocks that stay in
     cache), weighted by one kernel call and summed per slice by
     ``np.add.reduceat``: O(n log n) time and O(n) memory, also when every
-    window holds all n samples. Slices are summed on their own, never as
-    differences of prefix sums, which cancel when a window is small next to
-    the total. At n = 2048 this takes about 0.6 ms of a 1.2 ms fit; at
-    n = 2**17, 30 of 32 ms, mostly the sort and the gather.
+    window holds all n samples. A block of one window reads its slice in
+    place. Slices are summed on their own, never as differences of prefix
+    sums, which cancel when a window is small next to the total. At n = 2048
+    this takes about 0.6 ms of a 1.2 ms fit; at n = 2**17, 30 of 32 ms,
+    mostly the sort and the gather; at n = 2**16 with bandwidth 1e6 (every
+    window the whole range) 0.13 s against 16 ms at the default.
     """
     if not bandwidth > 0:  # also rejects NaN
         raise ValueError(f"bandwidth must be positive, got {bandwidth}")
@@ -141,8 +143,11 @@ def nw_variance_raw(fit: PreliminaryFit, bandwidth: float,
         full = g0 + np.flatnonzero(counts[g0:g1])
         size = counts[full]
         starts = np.cumsum(size) - size
-        idx = np.arange(size.sum())
-        idx += np.repeat(lo[full] - starts, size)
+        if full.size == 1:  # one window: its slice of the sorted samples
+            idx = slice(lo[full[0]], hi[full[0]])
+        else:
+            idx = np.arange(size.sum())
+            idx += np.repeat(lo[full] - starts, size)
         w = triangular_kernel((alpha[idx] - np.repeat(grid_u[full], size)) / bandwidth)
         mass[full] = np.add.reduceat(w, starts)
         w *= resid_sq[idx]

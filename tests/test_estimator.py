@@ -13,8 +13,8 @@ from fiszkit import (EstimatorConfig, NoiseModel, SeedSpec, VarianceEstimate,
                      hard_threshold, local_means, make_blocks, make_bumps,
                      n_threshold_coeffs, sample_noise, soft_threshold,
                      thresholds_data_driven, thresholds_known_h, universal_factor)
-from fiszkit.estimator import MAD_TO_SIGMA, _mad_window, _running_mad
-from fiszkit.wavelet import cycle_spin
+from fiszkit.estimator import MAD_TO_SIGMA, _mad_window, _running_mad, coefficient_sd
+from fiszkit.wavelet import _analysis_step, _synthesis_step, cycle_spin, shifted_local_means
 
 H_POISSON = lambda u: np.asarray(u, dtype=float)
 H_SQUARE = lambda u: np.asarray(u, dtype=float) ** 2
@@ -58,6 +58,66 @@ def denoise_shifts(x, cfg, threshold_fn):
             first_thr = thr
             first_surv = [q.details[j] != 0 for j in range(max_level)]
     return acc / len(shifts), first_thr, first_surv, len(shifts)
+
+
+def cycle_spin_arange_weights(x, basis, shifts, max_level, threshold_fn, shrink):
+    """Oracle for the engine's table, rows rotated by ``np.roll``.
+
+    Synthesis weights every row by its own class count,
+    ``(shifts - 1 - r) // 2^(d+1) + 1`` from ``np.arange``, and divides the
+    merged parents by theirs: the engine must match it bit for bit.
+    """
+    n = x.size
+    depth = n.bit_length() - 1
+    g, h = basis.filter_pair()
+    rows = x[None, :]
+    shrunk, first_thr = [], []
+    for d in range(depth):
+        j = depth - 1 - d
+        odd = min(shifts, 2 << d) - rows.shape[0]
+        if odd > 0:
+            rows = np.concatenate([rows, np.roll(rows[:odd], 1, axis=1)])
+        rows, detail = _analysis_step(rows, g, h)
+        if j >= max_level:
+            shrunk.append(None)
+            continue
+        lam = threshold_fn(j, np.arange(rows.shape[0]), detail)
+        shrunk.append(shrink(detail, lam))
+        first_thr.append(lam[0].copy())
+    for d in reversed(range(depth)):
+        detail = shrunk[d] if shrunk[d] is not None else np.zeros_like(rows)
+        y = _synthesis_step(rows, detail, g, h)
+        parents = min(shifts, 1 << d)
+        odd = y.shape[0] - parents
+        if odd:
+            r = np.arange(y.shape[0])
+            y *= ((shifts - 1 - r) // (2 << d) + 1)[:, None]
+            y[:odd] += np.roll(y[parents:], -1, axis=1)
+            rows = y[:parents] / ((shifts - 1 - r[:parents]) // (1 << d) + 1)[:, None]
+        else:
+            rows = y
+    first_shrunk = [rows_d[0] for rows_d in reversed(shrunk) if rows_d is not None]
+    return rows[0], first_thr[::-1], first_shrunk
+
+
+def mode_threshold_fns(x, basis, max_level, modes=("known", "fitted", "mad")):
+    """The engine's threshold callbacks as ``estimate`` and the MAD comparator build them."""
+    factor = universal_factor(max_level)
+    means = shifted_local_means(x, basis)
+    fns = {"mad": lambda j, _r, rows: MAD_TO_SIGMA * _running_mad(rows, _mad_window(j)) * factor}
+    for mode, h in (("known", H_POISSON), ("fitted", None)):
+        if mode in modes:
+            h = h or estimate_variance_function(x, EstimatorConfig().varfn).query
+            fns[mode] = lambda j, r, _rows, h=h: coefficient_sd(means(j, r), h, j) * factor
+    return {mode: fns[mode] for mode in modes}
+
+
+def assert_same_bytes(got, want):
+    values, thr, shrunk = got
+    assert values.tobytes() == want[0].tobytes()
+    assert len(thr) == len(want[1]) and len(shrunk) == len(want[2])
+    for a, b in zip(thr + shrunk, want[1] + want[2]):
+        assert a.tobytes() == b.tobytes()
 
 
 def scalar_rule(y, lam, rule):
@@ -316,17 +376,42 @@ class TestEstimate:
                 np.testing.assert_array_equal(a, b)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("basis", [haar(), daubechies(4)], ids=lambda b: b.name)
+    @pytest.mark.parametrize("shifts", [1, 2, 3, 5, 7, 127, 128, 682, 2047, 2048])
+    def test_cycle_spin_merge_is_bit_exact(self, shifts, basis):
+        x = sample_noise(make_blocks(2048, 1.0, 22.6), NoiseModel("poisson"), SeedSpec(66, 1))
+        for threshold_fn in mode_threshold_fns(x, basis, 9).values():
+            assert_same_bytes(cycle_spin(x, basis, shifts, 9, threshold_fn, hard_threshold),
+                              cycle_spin_arange_weights(x, basis, shifts, 9, threshold_fn,
+                                                        hard_threshold))
+
+    @given(st.integers(1, 10).flatmap(lambda depth: st.tuples(
+               st.just(depth), st.integers(1, 1 << depth), st.integers(1, depth))),
+           st.integers(0, 2**32 - 1), st.sampled_from(ALL_BASES),
+           st.sampled_from(["known", "fitted", "mad"]), st.sampled_from(["hard", "soft"]))
+    def test_cycle_spin_merge_is_bit_exact_property(self, sizes, seed, basis, mode, rule):
+        depth, shifts, max_level = sizes
+        assume(mode != "fitted" or depth >= 2)  # the variance fit needs n >= 3
+        x = np.random.default_rng(seed).uniform(0.5, 30.0, size=1 << depth)
+        threshold_fn = mode_threshold_fns(x, basis, max_level, (mode,))[mode]
+        shrink = soft_threshold if rule == "soft" else hard_threshold
+        assert_same_bytes(cycle_spin(x, basis, shifts, max_level, threshold_fn, shrink),
+                          cycle_spin_arange_weights(x, basis, shifts, max_level, threshold_fn,
+                                                    shrink))
+
     def test_cycle_spin_memory_is_n_log_n(self):
-        # every shift of n = 4096: a shift-count x n stack would be 128 MiB
+        # every shift of n = 4096: a shift-count x n stack would be 128 MiB;
+        # daub8's periodically extended rows count too
         n = 1 << 12
         x = np.random.default_rng(65).uniform(1.0, 20.0, size=n)
-        tracemalloc.start()
-        try:
-            cycle_spin(x, haar(), n, 10, lambda j, r, rows: np.ones_like(rows), hard_threshold)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4 * 8 * n * 12  # four arrays of n doubles per level
+        for basis in (haar(), daubechies(8)):
+            tracemalloc.start()
+            try:
+                cycle_spin(x, basis, n, 10, lambda j, r, rows: np.ones_like(rows), hard_threshold)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4 * 8 * n * 12, basis.name  # four arrays of n doubles per level
 
     def test_cycle_spin_validation(self):
         x = np.arange(1.0, 9.0)

@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from fiszkit import (CoeffPyramid, daubechies, dwt_forward, dwt_inverse, haar,
                      local_means, make_blocks, wavelet_vector)
-from fiszkit.wavelet import WaveletBasis, basis_by_name
+from fiszkit.wavelet import WaveletBasis, _analysis_step, _synthesis_step, basis_by_name
 
 ALL_BASES = [haar(), daubechies(4), daubechies(6), daubechies(8)]
 
@@ -34,6 +34,24 @@ def transform_matrix(n, lowpass):
         total = step @ total
         m //= 2
     return total  # row order: smooth, then levels coarse to fine
+
+
+def analysis_step_gather(approx, g, h):
+    """Oracle: one analysis step as a (rows, m/2, L) gather of periodic windows."""
+    m = approx.shape[-1]
+    idx = (2 * np.arange(m // 2)[:, None] + np.arange(g.size)) % m
+    win = approx[..., idx]
+    return win @ g, win @ h
+
+
+def synthesis_step_scatter(approx, detail, g, h):
+    """Oracle: the transposed step, tap i of coefficient k added at 2k + i (mod 2 * half)."""
+    half = approx.shape[-1]
+    out = np.zeros(approx.shape[:-1] + (2 * half,))
+    pos = 2 * np.arange(half)
+    for i in range(g.size):
+        out[..., (pos + i) % (2 * half)] += approx * g[i] + detail * h[i]
+    return out
 
 
 class TestTransform:
@@ -105,6 +123,22 @@ class TestTransform:
         p = dwt_forward(a * x + b * y)
         px, py = dwt_forward(x), dwt_forward(y)
         np.testing.assert_allclose(flatten(p), a * flatten(px) + b * flatten(py), atol=1e-10)
+
+    @pytest.mark.parametrize("basis", ALL_BASES, ids=lambda b: b.name)
+    def test_strided_steps_match_gather_oracle(self, basis):
+        # rows shorter than L - 2 (daub6 and daub8 at m = 2, 4) wrap the
+        # periodic extension more than once
+        g, h = basis.filter_pair()
+        rng = np.random.default_rng(67)
+        sizes = list(range(2, 17, 2)) + [1 << k for k in range(5, 11)]
+        for shape in [(m,) for m in sizes] + [(r, m) for r in (1, 2, 3) for m in sizes]:
+            x, y = rng.uniform(-30.0, 30.0, shape), rng.uniform(-30.0, 30.0, shape)
+            for got, want in zip(_analysis_step(x, g, h), analysis_step_gather(x, g, h)):
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(x))
+            got, want = _synthesis_step(x, y, g, h), synthesis_step_scatter(x, y, g, h)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-15 * max(np.max(np.abs(x)), np.max(np.abs(y)))
 
     def test_malformed_pyramid_rejected(self):
         with pytest.raises(ValueError):
