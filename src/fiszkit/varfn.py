@@ -111,12 +111,11 @@ def nw_variance_raw(fit: PreliminaryFit, bandwidth: float,
     array of at most max(n, 2**12) samples (at n = 2048, blocks that stay in
     cache), weighted by one kernel call and summed per slice by
     ``np.add.reduceat``: O(n log n) time and O(n) memory, also when every
-    window holds all n samples. A block of one window reads its slice in
-    place. Slices are summed on their own, never as differences of prefix
-    sums, which cancel when a window is small next to the total. At n = 2048
-    this takes about 0.6 ms of a 1.2 ms fit; at n = 2**17, 30 of 32 ms,
-    mostly the sort and the gather; at n = 2**16 with bandwidth 1e6 (every
-    window the whole range) 0.13 s against 16 ms at the default.
+    window holds all n samples (a block of one window is read in place).
+    Slices are summed on their own, never as differences of prefix sums,
+    which cancel when a window is small next to the total. At n = 2048 this
+    takes about 0.6 ms of a 1.2 ms fit; at n = 2**17, 30 of 32 ms, mostly
+    the sort and the gather; at n = 2**16 with bandwidth 1e6, 0.13 s.
     """
     if not bandwidth > 0:  # also rejects NaN
         raise ValueError(f"bandwidth must be positive, got {bandwidth}")

@@ -151,9 +151,10 @@ class CoeffPyramid:
 def _analysis_step(approx: np.ndarray, g: np.ndarray, h: np.ndarray):
     """One periodic analysis step along the last axis of ``approx``.
 
-    Longer filters read tap i of every coefficient as one strided slice of the
-    periodically extended row: a daub8 step over 2**18 values takes about 4 ms
-    (19 ms as a (rows, m/2, L) gather)."""
+    Longer filters read tap i of every coefficient as a strided slice of the
+    periodically extended row, even and odd taps summed apart: a daub8 step
+    over 2**18 values takes about 4 ms (19 ms as a (rows, m/2, L) gather).
+    """
     m = approx.shape[-1]
     if g.size == 2:
         a, b = approx[..., 0::2], approx[..., 1::2]
@@ -161,7 +162,6 @@ def _analysis_step(approx: np.ndarray, g: np.ndarray, h: np.ndarray):
     k = g.size - 2  # extend the row periodically by k samples, wrapping while m < k
     ext = np.concatenate([approx] * (1 + k // m) + [approx[..., :k % m]], axis=-1)
     taps = [ext[..., i:i + m:2] for i in range(g.size)]
-    # even and odd taps are summed apart, as a two-lane dot product rounds
     lo, hi = [taps[0] * g[0], taps[1] * g[1]], [taps[0] * h[0], taps[1] * h[1]]
     for i in range(2, g.size):
         lo[i % 2] += taps[i] * g[i]
@@ -356,17 +356,18 @@ def cycle_spin(x, basis: WaveletBasis, shifts: int, max_level: int,
     for d in reversed(range(depth)):
         detail = shrunk[d] if shrunk[d] is not None else np.zeros_like(rows)
         y = _synthesis_step(rows, detail, g, h)
-        q, m = divmod(shifts, 2 << d)  # children below m hold q + 1 shifts, the rest q
-        y[:m] *= q + 1
-        y[m:] *= q
         parents = min(shifts, 1 << d)
         odd = y.shape[0] - parents
-        y[:odd, :-1] += y[parents:, 1:]  # each child rotated back onto its parent
-        y[:odd, -1] += y[parents:, 0]
-        q, m = divmod(shifts, 1 << d)
+        if odd:  # else every row is its own class of one shift
+            q, m = divmod(shifts, 2 << d)  # children below m hold q + 1 shifts, the rest q
+            y[:m] *= q + 1
+            y[m:] *= q
+            y[:odd, :-1] += y[parents:, 1:]  # each child rotated back onto its parent
+            y[:odd, -1] += y[parents:, 0]
+            q, m = divmod(shifts, 1 << d)
+            y[:m] /= q + 1
+            y[m:parents] /= q
         rows = y[:parents]
-        rows[:m] /= q + 1
-        rows[m:] /= q
     if not np.all(np.isfinite(rows[0])):
         raise ValueError(_COEFF_OVERFLOW)
     first_shrunk = [rows_d[0] for rows_d in reversed(shrunk) if rows_d is not None]

@@ -100,16 +100,16 @@ def cycle_spin_arange_weights(x, basis, shifts, max_level, threshold_fn, shrink)
     return rows[0], first_thr[::-1], first_shrunk
 
 
-def mode_threshold_fns(x, basis, max_level, modes=("known", "fitted", "mad")):
-    """The engine's threshold callbacks as ``estimate`` and the MAD comparator build them."""
+def mode_threshold_fn(x, basis, max_level, mode):
+    """The threshold callback of ``estimate`` (known or fitted law) or of the MAD comparator."""
     factor = universal_factor(max_level)
+    if mode == "mad":
+        return lambda j, _r, rows: MAD_TO_SIGMA * _running_mad(rows, _mad_window(j)) * factor
+    h = H_POISSON
+    if mode == "fitted":
+        h = estimate_variance_function(x, EstimatorConfig().varfn).query
     means = shifted_local_means(x, basis)
-    fns = {"mad": lambda j, _r, rows: MAD_TO_SIGMA * _running_mad(rows, _mad_window(j)) * factor}
-    for mode, h in (("known", H_POISSON), ("fitted", None)):
-        if mode in modes:
-            h = h or estimate_variance_function(x, EstimatorConfig().varfn).query
-            fns[mode] = lambda j, r, _rows, h=h: coefficient_sd(means(j, r), h, j) * factor
-    return {mode: fns[mode] for mode in modes}
+    return lambda j, r, _rows: coefficient_sd(means(j, r), h, j) * factor
 
 
 def assert_same_bytes(got, want):
@@ -380,7 +380,8 @@ class TestEstimate:
     @pytest.mark.parametrize("shifts", [1, 2, 3, 5, 7, 127, 128, 682, 2047, 2048])
     def test_cycle_spin_merge_is_bit_exact(self, shifts, basis):
         x = sample_noise(make_blocks(2048, 1.0, 22.6), NoiseModel("poisson"), SeedSpec(66, 1))
-        for threshold_fn in mode_threshold_fns(x, basis, 9).values():
+        for mode in ("known", "fitted", "mad"):
+            threshold_fn = mode_threshold_fn(x, basis, 9, mode)
             assert_same_bytes(cycle_spin(x, basis, shifts, 9, threshold_fn, hard_threshold),
                               cycle_spin_arange_weights(x, basis, shifts, 9, threshold_fn,
                                                         hard_threshold))
@@ -393,7 +394,7 @@ class TestEstimate:
         depth, shifts, max_level = sizes
         assume(mode != "fitted" or depth >= 2)  # the variance fit needs n >= 3
         x = np.random.default_rng(seed).uniform(0.5, 30.0, size=1 << depth)
-        threshold_fn = mode_threshold_fns(x, basis, max_level, (mode,))[mode]
+        threshold_fn = mode_threshold_fn(x, basis, max_level, mode)
         shrink = soft_threshold if rule == "soft" else hard_threshold
         assert_same_bytes(cycle_spin(x, basis, shifts, max_level, threshold_fn, shrink),
                           cycle_spin_arange_weights(x, basis, shifts, max_level, threshold_fn,
