@@ -14,17 +14,19 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
+from math import inf
 from pathlib import Path
 
 import numpy as np
 
-from .estimator import EstimatorConfig, baseline_mad_estimate, estimate
-from .signals import (GAUSSIAN, SIGNAL_GENERATORS, NoiseModel, SeedSpec,
-                      sample_noise)
+from .estimator import _RULES, EstimatorConfig, baseline_mad_estimate, estimate
+from .signals import (GAUSSIAN, NOISE_KINDS, SIGNAL_GENERATORS, NoiseModel, SeedSpec,
+                      sample_noise, true_variance_function)
 from .textio import data_rows, first_rejected, format_rows, level_index, row_line
 from .varfn import VarFnConfig, VarianceEstimate, estimate_variance_function
 from .vst import divisors_as_lines, divisors_from_lines, forward_vst, inverse_vst
-from .wavelet import basis_by_name
+from .wavelet import BASIS_NAMES, basis_by_name
 
 __all__ = ["main", "read_series", "write_series", "run_bench", "BenchReport"]
 
@@ -92,12 +94,6 @@ def _bandwidth(text: str):
     return b
 
 
-_KNOWN_H = {
-    "poisson": lambda u: np.asarray(u, dtype=float),
-    "exponential": lambda u: np.asarray(u, dtype=float) ** 2,
-}
-
-
 def _varfn_config(args) -> VarFnConfig:
     return VarFnConfig(half_window=args.M, bandwidth=args.bandwidth, grid_size=args.grid)
 
@@ -105,11 +101,7 @@ def _varfn_config(args) -> VarFnConfig:
 def _estimator_config(args) -> EstimatorConfig:
     known = None
     if getattr(args, "known_h", None):
-        if args.known_h == "gaussian":
-            sig2 = args.sigma**2
-            known = lambda u, _s=sig2: np.full_like(np.asarray(u, dtype=float), _s)
-        else:
-            known = _KNOWN_H[args.known_h]
+        known = partial(true_variance_function, NoiseModel(args.known_h, sigma=args.sigma))
     return EstimatorConfig(
         max_level=args.jstar,
         rule=args.rule,
@@ -122,9 +114,12 @@ def _estimator_config(args) -> EstimatorConfig:
 
 
 def _simulate_config(args) -> tuple[NoiseModel, SeedSpec]:
-    noise = NoiseModel(args.noise, sigma=args.sigma) if args.noise == GAUSSIAN \
-        else NoiseModel(args.noise)
-    return noise, SeedSpec(args.seed, args.rep)
+    if not 0 < args.max - args.min < inf:  # also rejects NaN and infinities
+        raise ValueError("need --min < --max a finite distance apart, "
+                         f"got [{args.min}, {args.max}]")
+    if args.noise != GAUSSIAN and not args.min > 0:
+        raise ValueError(f"{args.noise} noise needs --min > 0, got {args.min}")
+    return NoiseModel(args.noise, sigma=args.sigma), SeedSpec(args.seed, args.rep)
 
 
 def _bench_config(args) -> EstimatorConfig:
@@ -135,15 +130,14 @@ def _bench_config(args) -> EstimatorConfig:
 
 
 def _add_estimator_flags(p: argparse.ArgumentParser, default_m: int) -> None:
-    p.add_argument("--rule", choices=("hard", "soft"), default="hard")
+    p.add_argument("--rule", choices=sorted(_RULES), default="hard")
     p.add_argument("--ti", action=argparse.BooleanOptionalAction, default=True,
                    help="average over circular shifts (translation invariance)")
     p.add_argument("--jstar", type=int, default=None,
                    help="number of thresholded coarse levels (default: depth - 2)")
     p.add_argument("--stride", type=int, default=1,
                    help="average only the first n/stride consecutive circular shifts")
-    p.add_argument("--basis", default="haar",
-                   choices=("haar", "daub4", "daub6", "daub8"))
+    p.add_argument("--basis", default="haar", choices=BASIS_NAMES)
     _add_varfn_flags(p, default_m)
 
 
@@ -201,18 +195,20 @@ def cmd_varfn(args, cfg: VarFnConfig) -> int:
     return 0
 
 
-def cmd_vst(args, cfg: VarFnConfig) -> int:
-    if args.mode == "forward":
-        x = read_series(args.input)
-        hhat = estimate_variance_function(x, cfg)
-        xt, state = forward_vst(x, hhat, basis_by_name(args.basis))
-        write_series(args.out, xt)
-        write_lines(args.divisors, divisors_as_lines(state))
-    else:
-        y = read_series(args.input)
-        with open(args.divisors, encoding="utf-8") as f:
-            state = divisors_from_lines(f)
-        write_series(args.out, inverse_vst(y, state))
+def cmd_vst_forward(args, cfg: VarFnConfig) -> int:
+    x = read_series(args.input)
+    hhat = estimate_variance_function(x, cfg)
+    xt, state = forward_vst(x, hhat, basis_by_name(args.basis))
+    write_series(args.out, xt)
+    write_lines(args.divisors, divisors_as_lines(state))
+    return 0
+
+
+def cmd_vst_inverse(args, _cfg: None) -> int:
+    y = read_series(args.input)
+    with open(args.divisors, encoding="utf-8") as f:
+        state = divisors_from_lines(f)
+    write_series(args.out, inverse_vst(y, state))
     return 0
 
 
@@ -301,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_dyadic, required=True)
     p.add_argument("--min", type=float, required=True)
     p.add_argument("--max", type=float, required=True)
-    p.add_argument("--noise", choices=("poisson", "exponential", "gaussian"), required=True)
+    p.add_argument("--noise", choices=NOISE_KINDS, required=True)
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--rep", type=int, default=0)
@@ -311,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="denoise a series from a file")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--known-h", choices=("poisson", "exponential", "gaussian"), default=None)
+    p.add_argument("--known-h", choices=NOISE_KINDS, default=None)
     p.add_argument("--sigma", type=float, default=1.0, help="noise sd for --known-h gaussian")
     p.add_argument("--baseline", action="store_true",
                    help="use the running-MAD comparator instead")
@@ -327,15 +323,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_varfn_flags(p, default_m=3)
     p.set_defaults(func=cmd_varfn, config=_varfn_config)
 
-    p = sub.add_parser("vst", help="variance-stabilise a series, or undo it")
-    p.add_argument("mode", choices=("forward", "inverse"))
+    vst = sub.add_parser("vst", help="variance-stabilise a series, or undo it")
+    modes = vst.add_subparsers(dest="mode", required=True)
+    p = modes.add_parser("forward", help="divide each detail coefficient by its fitted sd")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--divisors", required=True,
-                   help="divisor file (written by forward, read by inverse)")
-    p.add_argument("--basis", default="haar", choices=("haar", "daub4", "daub6", "daub8"))
+    p.add_argument("--divisors", required=True, help="divisor file to write")
+    p.add_argument("--basis", default="haar", choices=BASIS_NAMES)
     _add_varfn_flags(p, default_m=1)
-    p.set_defaults(func=cmd_vst, config=_varfn_config)
+    p.set_defaults(func=cmd_vst_forward, config=_varfn_config)
+    p = modes.add_parser("inverse", help="multiply the coefficients back by recorded divisors")
+    p.add_argument("--in", dest="input", required=True)
+    p.add_argument("--out", required=True)
+    p.add_argument("--divisors", required=True, help="divisor file written by vst forward")
+    p.set_defaults(func=cmd_vst_inverse, config=lambda _args: None)
 
     p = sub.add_parser("bench", help="mean-squared-error table over seeded replications")
     p.add_argument("--reps", type=int, required=True)

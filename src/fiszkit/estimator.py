@@ -95,7 +95,7 @@ class EstimatorConfig:
 
     def __post_init__(self):
         if self.rule not in _RULES:
-            raise ValueError(f"rule must be 'soft' or 'hard', got {self.rule!r}")
+            raise ValueError(f"rule must be one of {sorted(_RULES)}, got {self.rule!r}")
         if self.shift_stride < 1:
             raise ValueError("shift_stride must be >= 1")
         if self.max_level is not None and self.max_level < 1:
@@ -168,7 +168,7 @@ def apply_threshold(p: CoeffPyramid, thresholds: list[np.ndarray], rule: str,
 
 
 def _denoise(x: np.ndarray, cfg: EstimatorConfig, level_sd: Callable):
-    """Shift-averaged thresholding at ``level_sd(j, residues, rows) * sqrt(2 log N)``.
+    """Shift-averaged thresholding at ``level_sd(j, rows) * sqrt(2 log N)``.
 
     Returns the estimate, the thresholds and survivor masks of the unshifted
     pass, and the number of shifts averaged.
@@ -181,8 +181,8 @@ def _denoise(x: np.ndarray, cfg: EstimatorConfig, level_sd: Callable):
     # shifts would leave those levels aligned identically in every pass.
     shifts = max(1, n // cfg.shift_stride) if cfg.translation_invariant else 1
 
-    def threshold_fn(j, residues, rows):
-        return level_sd(j, residues, rows) * factor
+    def threshold_fn(j, rows):
+        return level_sd(j, rows) * factor
 
     values, thr, shrunk = cycle_spin(x, cfg.basis, shifts, max_level, threshold_fn,
                                      _RULES[cfg.rule])
@@ -201,8 +201,8 @@ def estimate(x, cfg: EstimatorConfig | None = None) -> EstimateResult:
     h = cfg.known_variance or fitted.query
     means = shifted_local_means(x, cfg.basis)
 
-    def level_sd(j, residues, _rows):
-        return coefficient_sd(means(j, residues), h, j)
+    def level_sd(j, rows):
+        return coefficient_sd(means(j, rows.shape[0]), h, j)
 
     values, thr, surv, shifts = _denoise(x, cfg, level_sd)
     return EstimateResult(values, thr, surv, cfg.known_variance or fitted, shifts)
@@ -314,7 +314,7 @@ def baseline_mad_estimate(x, cfg: EstimatorConfig | None = None) -> np.ndarray:
     """
     cfg = cfg or EstimatorConfig()
 
-    def level_sd(j, _residues, rows):
+    def level_sd(j, rows):
         return MAD_TO_SIGMA * _running_mad(rows, _mad_window(j))
 
     return _denoise(as_signal(x), cfg, level_sd)[0]

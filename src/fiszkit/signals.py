@@ -23,6 +23,7 @@ __all__ = [
     "POISSON",
     "EXPONENTIAL",
     "GAUSSIAN",
+    "NOISE_KINDS",
     "make_blocks",
     "make_bumps",
     "make_doppler",
@@ -39,7 +40,7 @@ _MASK64 = (1 << 64) - 1
 POISSON = "poisson"
 EXPONENTIAL = "exponential"
 GAUSSIAN = "gaussian"
-_KINDS = (POISSON, EXPONENTIAL, GAUSSIAN)
+NOISE_KINDS = (POISSON, EXPONENTIAL, GAUSSIAN)
 
 # Breakpoints shared by the blocks and bumps signals.
 _T_J = np.array([0.1, 0.13, 0.15, 0.23, 0.25, 0.4, 0.44, 0.65, 0.76, 0.78, 0.81])
@@ -141,26 +142,26 @@ class SeedSpec:
 class NoiseModel:
     """One of the supported mean-linked noise laws.
 
-    ``sigma`` is only meaningful for the gaussian model; ``sigma=0`` is
-    allowed and makes sampling return the truth exactly.
+    ``sigma`` is only meaningful for the gaussian model, where it must be
+    finite and >= 0; ``sigma=0`` makes sampling return the truth exactly.
     """
 
     kind: str
     sigma: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown noise kind {self.kind!r}, expected one of {_KINDS}")
-        if self.kind == GAUSSIAN and self.sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        if self.kind not in NOISE_KINDS:
+            raise ValueError(f"unknown noise kind {self.kind!r}, expected one of {NOISE_KINDS}")
+        if self.kind == GAUSSIAN and not 0 <= self.sigma < np.inf:  # also rejects NaN
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
 
 
 def true_variance_function(model: NoiseModel, u):
-    """Variance of an observation whose mean is ``u`` under ``model``."""
+    """Variance of an observation whose mean is ``u`` under ``model``; poisson needs ``u >= 0``."""
     u_arr = np.asarray(u, dtype=float)
-    if np.any(u_arr < 0):
-        raise ValueError("mean argument must be nonnegative")
     if model.kind == POISSON:
+        if np.any(u_arr < 0):
+            raise ValueError("poisson mean argument must be nonnegative")
         out = u_arr
     elif model.kind == EXPONENTIAL:
         out = u_arr**2

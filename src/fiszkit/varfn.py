@@ -213,14 +213,12 @@ class VarFnConfig:
 
     ``half_window`` is the running-mean half width (3 is a good standalone
     default; the denoiser passes 1). ``bandwidth`` may be a number or
-    "auto". ``floor_eps`` of None picks 1e-10 times the largest raw grid
-    value, with a tiny positive fallback when the residuals vanish.
+    "auto".
     """
 
     half_window: int = 3
     bandwidth: Union[float, str] = "auto"
     grid_size: int = 256
-    floor_eps: Optional[float] = None
 
     def __post_init__(self):
         if self.half_window < 0:
@@ -314,11 +312,8 @@ def estimate_variance_function(x, cfg: VarFnConfig | None = None) -> VarianceEst
         raise ValueError("smoothed variance is not finite: kernel sums of squared residuals "
                          "overflow at this data scale")
     iso = pava_isotone(raw)
-    if cfg.floor_eps is not None:
-        floor_eps = float(cfg.floor_eps)
-    else:
-        peak = float(raw.max())
-        floor_eps = 1e-10 * peak if peak > 0 else _TINY_FLOOR
+    peak = float(raw.max())
+    floor_eps = 1e-10 * peak if peak > 0 else _TINY_FLOOR
     return VarianceEstimate(grid, np.maximum(iso, floor_eps), floor_eps,
                             bandwidth=bandwidth, half_window=cfg.half_window,
                             populated=populated)

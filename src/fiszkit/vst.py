@@ -49,8 +49,8 @@ def forward_vst(x, hhat: VarianceEstimate,
     basis = basis or haar()
     means = shifted_local_means(x, basis)
 
-    def divisors(j, residues, _rows):
-        d = np.maximum(coefficient_sd(means(j, residues), hhat.query, j), np.sqrt(hhat.floor_eps))
+    def divisors(j, _rows):
+        d = np.maximum(coefficient_sd(means(j, 1), hhat.query, j), np.sqrt(hhat.floor_eps))
         if not np.all(d > 0):  # checked before the division, which would warn
             raise ValueError(f"divisors must be strictly positive (level {j})")
         return d
@@ -66,7 +66,7 @@ def inverse_vst(y, state: VstState) -> np.ndarray:
         raise ValueError(f"length {y.size} does not match recorded divisors "
                          f"({1 << len(state.divisors)})")
     return cycle_spin(y, state.basis, 1, len(state.divisors),
-                      lambda j, _r, _rows: state.divisors[j][None], np.multiply)[0]
+                      lambda j, _rows: state.divisors[j][None], np.multiply)[0]
 
 
 def denoise_via_vst(x, cfg: EstimatorConfig | None = None) -> np.ndarray:

@@ -38,10 +38,12 @@ __all__ = [
     "shifted_local_means",
     "cycle_spin",
     "wavelet_vector",
+    "BASIS_NAMES",
 ]
 
 _SQRT2 = sqrt(2.0)
 _SUPPORTED_TAPS = (2, 4, 6, 8)
+BASIS_NAMES = tuple("haar" if taps == 2 else f"daub{taps}" for taps in _SUPPORTED_TAPS)
 
 
 @lru_cache(maxsize=None)
@@ -115,11 +117,9 @@ def daubechies(taps: int) -> WaveletBasis:
 
 
 def basis_by_name(name: str) -> WaveletBasis:
-    if name == "haar":
-        return haar()
-    if name.startswith("daub"):
-        return daubechies(int(name[4:]))
-    raise ValueError(f"unknown wavelet basis {name!r}")
+    if name not in BASIS_NAMES:
+        raise ValueError(f"unknown wavelet basis {name!r}, choose from {list(BASIS_NAMES)}")
+    return daubechies(_SUPPORTED_TAPS[BASIS_NAMES.index(name)])
 
 
 @dataclass
@@ -258,9 +258,9 @@ def _level_supports(basis: WaveletBasis, n: int) -> tuple[tuple[int, ...], tuple
 
 
 def shifted_local_means(x, basis: WaveletBasis | None = None):
-    """Return ``means(j, shifts)``, the level-j local means of shifted copies of ``x``.
+    """Return ``means(j, count)``, the level-j local means of the first ``count`` shifts of ``x``.
 
-    Row i of ``means(j, shifts)`` equals ``local_means(np.roll(x, shifts[i]))[j]``:
+    Row s of ``means(j, count)`` equals ``local_means(np.roll(x, s))[j]``:
     coefficient (j, k) of the shift-s signal averages ``x`` over the cyclic
     interval of its support moved back by s. The cumulative sum is built
     once, so each call costs only the positions asked for.
@@ -276,8 +276,8 @@ def shifted_local_means(x, basis: WaveletBasis | None = None):
     if not finite:
         raise ValueError("local means overflow at this data scale")
 
-    def means(j: int, shifts) -> np.ndarray:
-        s = (starts[j] + (n >> j) * np.arange(1 << j) - np.asarray(shifts)[:, None]) % n
+    def means(j: int, count: int) -> np.ndarray:
+        s = (starts[j] + (n >> j) * np.arange(1 << j) - np.arange(count)[:, None]) % n
         return (csum[s + lengths[j]] - csum[s]) / lengths[j]
     return means
 
@@ -291,7 +291,7 @@ def local_means(x, basis: WaveletBasis | None = None) -> list[np.ndarray]:
     """
     x = as_signal(x)
     means = shifted_local_means(x, basis)
-    return [means(j, [0])[0] for j in range(x.size.bit_length() - 1)]
+    return [means(j, 1)[0] for j in range(x.size.bit_length() - 1)]
 
 
 _COEFF_OVERFLOW = "wavelet coefficients overflow at this data scale"
@@ -305,10 +305,10 @@ def cycle_spin(x, basis: WaveletBasis, shifts: int, max_level: int,
     The result equals the mean over s of ``np.roll(y_s, -s)``, where ``y_s``
     is ``np.roll(x, s)`` analysed, with each level j < ``max_level`` shrunk
     by ``shrink(detail, threshold)``, the finer levels zeroed and the smooth
-    kept, then synthesised. ``threshold_fn(j, residues, rows)`` receives the
-    level-j detail rows of the shifts ``residues`` and returns their
-    thresholds, one per coefficient. ``shrink`` may be any elementwise map
-    of the two: one pass with ``shifts=1`` and ``np.divide`` is the VST.
+    kept, then synthesised. ``threshold_fn(j, rows)`` receives the level-j
+    detail rows, row s holding shift s, and returns their thresholds, one
+    per coefficient. ``shrink`` may be any elementwise map of the two: one
+    pass with ``shifts=1`` and ``np.divide`` is the VST.
 
     Shifts congruent modulo 2^d share their depth-d coefficients up to a
     rotation, so the transform is a table (Coifman & Donoho 1995): depth d
@@ -316,8 +316,8 @@ def cycle_spin(x, basis: WaveletBasis, shifts: int, max_level: int,
     approximation of ``np.roll(x, r)``, and the residue r + 2^d child is
     analysed from its parent rotated by one sample. Synthesis goes back up
     the table and merges sibling rows, weighted by their shift counts: for
-    q, m = divmod(shifts, 2^(d+1)), residues below m hold q + 1 shifts and
-    the rest q. Each depth holds at most n values: O(n log n) time and
+    q, m = divmod(shifts, 2^(d+1)), rows below m hold q + 1 shifts and the
+    rest q. Each depth holds at most n values: O(n log n) time and
     memory for any ``shifts``.
 
     Returns the averaged signal and, for the unshifted pass, the thresholds
@@ -337,14 +337,14 @@ def cycle_spin(x, basis: WaveletBasis, shifts: int, max_level: int,
     first_thr = []
     for d in range(depth):
         j = depth - 1 - d
-        odd = min(shifts, 2 << d) - rows.shape[0]  # residues r + 2^d still below shifts
+        odd = min(shifts, 2 << d) - rows.shape[0]  # rows r + 2^d still below shifts
         if odd > 0:  # children: their parents rotated by one sample
             rows = np.concatenate([rows, np.concatenate([rows[:odd, -1:], rows[:odd, :-1]], 1)])
         rows, detail = _analysis_step(rows, g, h)
         if j >= max_level:
             shrunk.append(None)
             continue
-        lam = np.asarray(threshold_fn(j, np.arange(rows.shape[0]), detail), dtype=float)
+        lam = np.asarray(threshold_fn(j, detail), dtype=float)
         if lam.shape != detail.shape:
             raise ValueError(f"threshold level {j} has shape {lam.shape}, expected {detail.shape}")
         if not np.all(lam >= 0):

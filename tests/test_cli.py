@@ -189,6 +189,16 @@ INVALID_FLAGS = [
     ["estimate", "--bandwidth", "nan"],
     ["varfn", "--bandwidth", "nan"],
     ["vst", "forward", "--divisors", "d.txt", "--grid", 1],
+    *[["vst", "inverse", "--divisors", "d.txt", *flag]  # only forward fits or picks a basis
+      for flag in (["--basis", "daub8"], ["--M", 3], ["--bandwidth", 1], ["--grid", 64])],
+    *[["simulate", "--signal", "blocks", "--n", 64, "--min", 1, "--max", 2,
+       "--noise", "gaussian", "--seed", 1, "--sigma", sigma] for sigma in (-1, "nan", "inf")],
+    *[["estimate", "--known-h", "gaussian", "--sigma", sigma] for sigma in (-1, "nan", "inf")],
+    *[["simulate", "--signal", "blocks", "--n", 64, f"--min={lo}", "--max", hi,
+       "--noise", noise, "--seed", 1]
+      for lo, hi, noise in ((5, 1, "gaussian"), (1, 1, "gaussian"), (1, "inf", "gaussian"),
+                            ("nan", 2, "gaussian"), (-1.7e308, 1.7e308, "gaussian"),
+                            (-1, 2, "poisson"), (0, 2, "exponential"))],
     ["bench", "--reps", 0, "--seed", 1],
     ["bench", "--reps", 1, "--seed", -1],
     ["bench", "--reps", 1, "--seed", 1, "--stride", 0],

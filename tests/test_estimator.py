@@ -81,7 +81,7 @@ def cycle_spin_arange_weights(x, basis, shifts, max_level, threshold_fn, shrink)
         if j >= max_level:
             shrunk.append(None)
             continue
-        lam = threshold_fn(j, np.arange(rows.shape[0]), detail)
+        lam = threshold_fn(j, detail)
         shrunk.append(shrink(detail, lam))
         first_thr.append(lam[0].copy())
     for d in reversed(range(depth)):
@@ -104,12 +104,12 @@ def mode_threshold_fn(x, basis, max_level, mode):
     """The threshold callback of ``estimate`` (known or fitted law) or of the MAD comparator."""
     factor = universal_factor(max_level)
     if mode == "mad":
-        return lambda j, _r, rows: MAD_TO_SIGMA * _running_mad(rows, _mad_window(j)) * factor
+        return lambda j, rows: MAD_TO_SIGMA * _running_mad(rows, _mad_window(j)) * factor
     h = H_POISSON
     if mode == "fitted":
         h = estimate_variance_function(x, EstimatorConfig().varfn).query
     means = shifted_local_means(x, basis)
-    return lambda j, r, _rows: coefficient_sd(means(j, r), h, j) * factor
+    return lambda j, rows: coefficient_sd(means(j, len(rows)), h, j) * factor
 
 
 def assert_same_bytes(got, want):
@@ -408,7 +408,7 @@ class TestEstimate:
         for basis in (haar(), daubechies(8)):
             tracemalloc.start()
             try:
-                cycle_spin(x, basis, n, 10, lambda j, r, rows: np.ones_like(rows), hard_threshold)
+                cycle_spin(x, basis, n, 10, lambda j, rows: np.ones_like(rows), hard_threshold)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -416,14 +416,14 @@ class TestEstimate:
 
     def test_cycle_spin_validation(self):
         x = np.arange(1.0, 9.0)
-        ones = lambda j, r, rows: np.ones_like(rows)
+        ones = lambda j, rows: np.ones_like(rows)
         for shifts, max_level in ((0, 1), (9, 1), (8, 0), (8, 4)):
             with pytest.raises(ValueError):
                 cycle_spin(x, haar(), shifts, max_level, ones, hard_threshold)
         with pytest.raises(ValueError, match="shape"):
-            cycle_spin(x, haar(), 8, 2, lambda j, r, rows: np.ones(1 << j), hard_threshold)
+            cycle_spin(x, haar(), 8, 2, lambda j, rows: np.ones(1 << j), hard_threshold)
         with pytest.raises(ValueError, match="NaN"):
-            cycle_spin(x, haar(), 8, 2, lambda j, r, rows: np.full_like(rows, np.nan),
+            cycle_spin(x, haar(), 8, 2, lambda j, rows: np.full_like(rows, np.nan),
                        hard_threshold)
 
     def test_two_samples(self):
@@ -466,7 +466,7 @@ class TestEstimate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="wavelet coefficients overflow"):
-                cycle_spin(x, haar(), 16, 4, lambda j, r, rows: np.zeros(rows.shape),
+                cycle_spin(x, haar(), 16, 4, lambda j, rows: np.zeros(rows.shape),
                            hard_threshold)
 
     def test_config_validation(self):

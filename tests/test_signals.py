@@ -77,10 +77,11 @@ class TestVarianceFunction:
     def test_exponential_is_square(self):
         assert true_variance_function(NoiseModel(EXPONENTIAL), 0.0) == 0.0
         assert true_variance_function(NoiseModel(EXPONENTIAL), 3.0) == 9.0
+        assert true_variance_function(NoiseModel(EXPONENTIAL), -3.0) == 9.0
 
     def test_gaussian_is_constant(self):
         m = NoiseModel(GAUSSIAN, sigma=2.0)
-        for u in (0.0, 1.0, 123.4):
+        for u in (-5.0, 0.0, 1.0, 123.4):
             assert true_variance_function(m, u) == 4.0
 
     def test_negative_mean_rejected(self):
@@ -156,3 +157,8 @@ class TestSeedSpec:
     def test_noise_kind_validated(self):
         with pytest.raises(ValueError):
             NoiseModel("cauchy")
+
+    @pytest.mark.parametrize("sigma", [-1.0, np.nan, np.inf, -np.inf])
+    def test_gaussian_sigma_validated(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
+            NoiseModel(GAUSSIAN, sigma=sigma)

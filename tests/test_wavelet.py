@@ -235,5 +235,6 @@ class TestBasis:
     def test_unknown_names_rejected(self):
         with pytest.raises(ValueError):
             daubechies(10)
-        with pytest.raises(ValueError):
-            basis_by_name("sym5")
+        for name in ("sym5", "daub2", "daub04", "daub"):
+            with pytest.raises(ValueError, match="unknown wavelet basis"):
+                basis_by_name(name)
