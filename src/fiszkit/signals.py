@@ -70,7 +70,11 @@ def rescale_to_range(x, min_val: float, max_val: float) -> np.ndarray:
     lo, hi = x.min(), x.max()
     if hi == lo:
         raise ValueError("cannot rescale a constant signal to a nondegenerate range")
-    return min_val + (max_val - min_val) * (x - lo) / (hi - lo)
+    with np.errstate(over="ignore"):
+        out = min_val + (max_val - min_val) * (x - lo) / (hi - lo)
+    big = np.isinf(out)  # the span times the spread overflows: divide first only there
+    out[big] = min_val + (max_val - min_val) * ((x[big] - lo) / (hi - lo))
+    return out
 
 
 def _grid(n: int) -> np.ndarray:
@@ -179,12 +183,15 @@ def sample_noise(truth, model: NoiseModel, seed: SeedSpec) -> np.ndarray:
     """
     truth = as_signal(truth)
     rng = seed.generator()
-    if model.kind == GAUSSIAN:
-        return truth + model.sigma * rng.standard_normal(truth.size)
-    if np.any(truth <= 0):
+    if model.kind != GAUSSIAN and np.any(truth <= 0):
         raise ValueError(f"{model.kind} noise requires a strictly positive truth")
-    if model.kind == POISSON:
-        return rng.poisson(truth).astype(float)
-    # exponential multiplicative: X = truth * Exp(1)
-    u = rng.random(truth.size)
-    return truth * -np.log1p(-u)
+    with np.errstate(over="ignore"):
+        if model.kind == GAUSSIAN:
+            x = truth + model.sigma * rng.standard_normal(truth.size)
+        elif model.kind == POISSON:
+            x = rng.poisson(truth).astype(float)
+        else:  # exponential multiplicative: X = truth * Exp(1)
+            x = truth * -np.log1p(-rng.random(truth.size))
+        if not np.all(np.isfinite(x)):
+            raise ValueError(f"{model.kind} noise overflows at this scale: a draw is not finite")
+    return x

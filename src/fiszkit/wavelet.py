@@ -358,15 +358,14 @@ def cycle_spin(x, basis: WaveletBasis, shifts: int, max_level: int,
         y = _synthesis_step(rows, detail, g, h)
         parents = min(shifts, 1 << d)
         odd = y.shape[0] - parents
-        if odd:  # else every row is its own class of one shift
-            q, m = divmod(shifts, 2 << d)  # children below m hold q + 1 shifts, the rest q
-            y[:m] *= q + 1
-            y[m:] *= q
-            y[:odd, :-1] += y[parents:, 1:]  # each child rotated back onto its parent
-            y[:odd, -1] += y[parents:, 0]
-            q, m = divmod(shifts, 1 << d)
-            y[:m] /= q + 1
-            y[m:parents] /= q
+        q, m = divmod(shifts, 2 << d)  # children below m hold q + 1 shifts, the rest q
+        y[:m] *= q + 1
+        y[m:] *= q
+        y[:odd, :-1] += y[parents:, 1:]  # each child rotated back onto its parent
+        y[:odd, -1] += y[parents:, 0]
+        q, m = divmod(shifts, 1 << d)
+        y[:m] /= q + 1
+        y[m:parents] /= q
         rows = y[:parents]
     if not np.all(np.isfinite(rows[0])):
         raise ValueError(_COEFF_OVERFLOW)

@@ -102,6 +102,16 @@ class TestSimulate:
         run_cli(args + ["--out", tmp_path / "y"])
         assert (tmp_path / "x_noisy.txt").read_bytes() == (tmp_path / "y_noisy.txt").read_bytes()
 
+    def test_range_near_float_max_ends_exactly_at_its_bounds(self, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow on the way
+            assert run_cli(["simulate", "--signal", "blocks", "--n", 64, "--min", 1,
+                            "--max", 1e308, "--noise", "gaussian", "--seed", 1,
+                            "--out", tmp_path / "a"]) == 0
+        truth = read_series(tmp_path / "a_truth.txt")
+        assert (truth.min(), truth.max()) == (1.0, 1e308)
+        assert np.all(np.isfinite(read_series(tmp_path / "a_noisy.txt")))
+
     def test_non_dyadic_length_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli(["simulate", "--signal", "blocks", "--n", 2047, "--min", 1,
@@ -244,6 +254,8 @@ def test_overflowing_data_is_data_error(argv, poisson_file, tmp_path):
     (["--known-h", "poisson"], "local means overflow"),
     (["--known-h", "exponential"], "local means overflow"),
     (["vst", "inverse", "--divisors", "unit.txt"], "wavelet coefficients overflow"),
+    (["simulate", "--signal", "blocks", "--n", "64", "--min", "1", "--max", "2",
+      "--noise", "gaussian", "--sigma", "1e308", "--seed", "1"], "gaussian noise overflows"),
 ], ids=lambda a: " ".join(a) if isinstance(a, list) else None)
 def test_data_near_float_max_is_overflow_error(flags, message, tmp_path, capsys):
     x = np.full(64, 1.5e308)
@@ -252,14 +264,17 @@ def test_data_near_float_max_is_overflow_error(flags, message, tmp_path, capsys)
     unit = tmp_path / "unit.txt"
     unit.write_text("# basis haar\n" + "".join(f"{j} {k} 1\n" for j in range(6)
                                                  for k in range(1, (1 << j) + 1)))
-    argv = flags if flags[0] == "vst" else ["estimate", *flags]
+    argv = flags if flags[0] in ("vst", "simulate") else ["estimate", *flags]
     argv = [unit if a == "unit.txt" else a for a in argv]
-    out = tmp_path / "o.txt"
+    if argv[0] != "simulate":  # simulate draws its own data
+        argv += ["--in", tmp_path / "huge.txt"]
+    out = tmp_path / "out"
+    out.mkdir()
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the error line is the only report
-        assert run_cli(argv + ["--in", tmp_path / "huge.txt", "--out", out]) == 3
+        assert run_cli(argv + ["--out", out / "o.txt"]) == 3
     assert message in capsys.readouterr().err
-    assert not out.exists()
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -335,6 +350,23 @@ class TestVst:
                         "--divisors", div]) == 3
         assert f"{div}:3: cannot read '0 5 9.0' as a divisor" in capsys.readouterr().err
         assert not (tmp_path / "o.txt").exists()
+
+
+def test_outputs_match_golden_fixtures(tmp_path):
+    # The fixtures were written by these same calls. They pin the bench
+    # table, the estimate and its thresholds to the last digit, so a
+    # deliberate change to the arithmetic means writing them again.
+    data = Path(__file__).parent / "data"
+    assert run_cli(["bench", "--reps", 3, "--n", 256, "--seed", 5, "--stride", 8,
+                    "--out", tmp_path / "bench.txt"]) == 0
+    assert run_cli(["simulate", "--signal", "blocks", "--n", 256, "--min", 1, "--max", 22.6,
+                    "--noise", "poisson", "--seed", 5, "--out", tmp_path / "sim"]) == 0
+    assert run_cli(["estimate", "--in", tmp_path / "sim_noisy.txt", "--out", tmp_path / "est.txt",
+                    "--basis", "haar", "--emit-plots"]) == 0
+    for got, name in (("bench.txt", "bench_reps3_n256_seed5_stride8.txt"),
+                      ("est.txt", "estimate_blocks_poisson_n256_seed5.txt"),
+                      ("est_thresholds.txt", "estimate_blocks_poisson_n256_seed5_thresholds.txt")):
+        assert (tmp_path / got).read_bytes() == (data / name).read_bytes(), name
 
 
 class TestBench:

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -395,6 +395,7 @@ class TestEstimatePipeline:
     @settings(max_examples=200)
     @given(st.integers(2, 512), st.floats(-8.0, 8.0), st.floats(-1e9, 1e9),
            st.integers(0, 2**32 - 1))
+    @example(256, -6.0, 1e9, 0)  # a span of a few ulps: 9 distinct knots repeated
     def test_query_matches_searchsorted_on_linspace_grids(self, size, log_span, offset, seed):
         # the grids the fit builds; u on and within 2 ulps of every knot,
         # outside the grid and at ±inf
