@@ -86,12 +86,7 @@ def _dyadic(text: str) -> int:
 
 
 def _bandwidth(text: str):
-    if text == "auto":
-        return "auto"
-    b = float(text)
-    if not b > 0:  # also rejects NaN
-        raise argparse.ArgumentTypeError(f"bandwidth must be positive, got {b}")
-    return b
+    return text if text == "auto" else float(text)  # VarFnConfig checks the value
 
 
 def _varfn_config(args) -> VarFnConfig:
@@ -307,10 +302,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="denoise a series from a file")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--known-h", choices=NOISE_KINDS, default=None)
+    law = p.add_mutually_exclusive_group()  # the MAD comparator takes no variance law
+    law.add_argument("--known-h", choices=NOISE_KINDS, default=None)
     p.add_argument("--sigma", type=float, default=1.0, help="noise sd for --known-h gaussian")
-    p.add_argument("--baseline", action="store_true",
-                   help="use the running-MAD comparator instead")
+    law.add_argument("--baseline", action="store_true",
+                     help="use the running-MAD comparator instead")
     p.add_argument("--emit-plots", action="store_true")
     _add_estimator_flags(p, default_m=1)
     p.set_defaults(func=cmd_estimate, config=_estimator_config)

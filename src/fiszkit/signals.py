@@ -185,13 +185,17 @@ def sample_noise(truth, model: NoiseModel, seed: SeedSpec) -> np.ndarray:
     rng = seed.generator()
     if model.kind != GAUSSIAN and np.any(truth <= 0):
         raise ValueError(f"{model.kind} noise requires a strictly positive truth")
+    overflow = f"{model.kind} noise overflows at this scale: "
     with np.errstate(over="ignore"):
         if model.kind == GAUSSIAN:
             x = truth + model.sigma * rng.standard_normal(truth.size)
         elif model.kind == POISSON:
-            x = rng.poisson(truth).astype(float)
+            try:
+                x = rng.poisson(truth).astype(float)
+            except ValueError:  # numpy's sampler takes means up to about 9.2e18
+                raise ValueError(overflow + "a mean is beyond the sampler's range") from None
         else:  # exponential multiplicative: X = truth * Exp(1)
             x = truth * -np.log1p(-rng.random(truth.size))
         if not np.all(np.isfinite(x)):
-            raise ValueError(f"{model.kind} noise overflows at this scale: a draw is not finite")
+            raise ValueError(overflow + "a draw is not finite")
     return x

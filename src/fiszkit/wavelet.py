@@ -6,6 +6,12 @@ smooth coefficient. Detail levels are indexed coarse-first: level j holds
 the overall matrix exactly orthonormal at every depth, which is what the
 round-trip and energy-preservation guarantees rely on.
 
+The bases, :data:`BASIS_NAMES`, are one fixed table of extremal-phase scaling
+filters, large taps first (Daubechies 1992, *Ten Lectures on Wavelets*, section 6.4,
+Table 6.1). Each tap is the double float64 spectral factorisation gives, kept bit for
+bit: daub4's second tap is one ulp below the correctly rounded (3 + sqrt 3) / (4 sqrt 2),
+and re-rounding to the published decimals would move every output.
+
 Alongside the transform proper, :func:`local_means` computes, for every
 detail coefficient, the uniform average of the data over the support of
 that coefficient's wavelet vector. For Haar these are rescaled scaling
@@ -21,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb, sqrt
 
 import numpy as np
 
@@ -41,42 +46,18 @@ __all__ = [
     "BASIS_NAMES",
 ]
 
-_SQRT2 = sqrt(2.0)
-_SUPPORTED_TAPS = (2, 4, 6, 8)
-BASIS_NAMES = tuple("haar" if taps == 2 else f"daub{taps}" for taps in _SUPPORTED_TAPS)
-
-
-@lru_cache(maxsize=None)
-def _daubechies_lowpass(taps: int) -> tuple[float, ...]:
-    """Extremal-phase scaling filter via spectral factorisation.
-
-    Computing the filter (rather than typing published decimals) keeps the
-    coefficients accurate to machine precision, which the exact round-trip
-    and energy-preservation guarantees depend on.
-    """
-    p = taps // 2
-    if p == 1:
-        return (1.0 / _SQRT2, 1.0 / _SQRT2)
-    # q(z) = z^(p-1) * P((2 - z - 1/z)/4) with P(y) = sum_k C(p-1+k, k) y^k;
-    # coefficient arrays are lowest-degree first.
-    yz = np.array([-0.25, 0.5, -0.25])  # y*z as a polynomial in z
-    q = np.zeros(2 * p - 1)
-    for k in range(p):
-        term = np.array([float(comb(p - 1 + k, k))])
-        for _ in range(k):
-            term = np.convolve(term, yz)
-        q[p - 1 - k:p - 1 - k + term.size] += term
-    roots = np.roots(q[::-1])
-    h = np.array([1.0])
-    for _ in range(p):
-        h = np.convolve(h, [1.0, 1.0])  # (1 + z)^p
-    for r in roots[np.abs(roots) < 1]:
-        h = np.convolve(h, [-r, 1.0])  # minimum-phase factor
-    h = np.real(h)
-    h *= _SQRT2 / h.sum()
-    if abs(h[0]) < abs(h[-1]):  # direct order: large taps first
-        h = h[::-1]
-    return tuple(float(v) for v in h)
+# basis name -> lowpass taps, the one table of bases (see the module docstring)
+_LOWPASS = {
+    "haar": (0.7071067811865475, 0.7071067811865475),
+    "daub4": (0.48296291314453416, 0.8365163037378078, 0.2241438680420134,
+              -0.12940952255126037),
+    "daub6": (0.33267055295008285, 0.8068915093110931, 0.4598775021184915,
+              -0.13501102001025503, -0.08544127388202687, 0.03522629188570955),
+    "daub8": (0.23037781330889612, 0.7148465705529147, 0.6308807679298586,
+              -0.02798376941685872, -0.1870348117190923, 0.030841381835560698,
+              0.03288301166688511, -0.010597401785069),
+}
+BASIS_NAMES = tuple(_LOWPASS)
 
 
 @dataclass(frozen=True)
@@ -106,20 +87,21 @@ class WaveletBasis:
 
 def haar() -> WaveletBasis:
     """The two-tap basis; the package default."""
-    return WaveletBasis("haar", _daubechies_lowpass(2))
+    return basis_by_name("haar")
 
 
 def daubechies(taps: int) -> WaveletBasis:
     """Daubechies extremal-phase basis with the given tap count (2, 4, 6 or 8)."""
-    if taps not in _SUPPORTED_TAPS:
-        raise ValueError(f"unsupported tap count {taps}, choose from {list(_SUPPORTED_TAPS)}")
-    return haar() if taps == 2 else WaveletBasis(f"daub{taps}", _daubechies_lowpass(taps))
+    names = {len(g): name for name, g in _LOWPASS.items()}
+    if taps not in names:
+        raise ValueError(f"unsupported tap count {taps}, choose from {list(names)}")
+    return basis_by_name(names[taps])
 
 
 def basis_by_name(name: str) -> WaveletBasis:
-    if name not in BASIS_NAMES:
+    if name not in _LOWPASS:
         raise ValueError(f"unknown wavelet basis {name!r}, choose from {list(BASIS_NAMES)}")
-    return daubechies(_SUPPORTED_TAPS[BASIS_NAMES.index(name)])
+    return WaveletBasis(name, _LOWPASS[name])
 
 
 @dataclass

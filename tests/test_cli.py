@@ -198,6 +198,10 @@ INVALID_FLAGS = [
     ["varfn", "--M", -1],
     ["estimate", "--bandwidth", "nan"],
     ["varfn", "--bandwidth", "nan"],
+    *[[*cmd, "--bandwidth", b] for b in (0, -1)  # VarFnConfig alone rejects the value
+      for cmd in (["estimate"], ["varfn"], ["vst", "forward", "--divisors", "d.txt"],
+                  ["bench", "--reps", 1, "--seed", 1])],
+    ["estimate", "--baseline", "--known-h", "exponential"],  # the comparator takes no law
     ["vst", "forward", "--divisors", "d.txt", "--grid", 1],
     *[["vst", "inverse", "--divisors", "d.txt", *flag]  # only forward fits or picks a basis
       for flag in (["--basis", "daub8"], ["--M", 3], ["--bandwidth", 1], ["--grid", 64])],
@@ -256,6 +260,8 @@ def test_overflowing_data_is_data_error(argv, poisson_file, tmp_path):
     (["vst", "inverse", "--divisors", "unit.txt"], "wavelet coefficients overflow"),
     (["simulate", "--signal", "blocks", "--n", "64", "--min", "1", "--max", "2",
       "--noise", "gaussian", "--sigma", "1e308", "--seed", "1"], "gaussian noise overflows"),
+    (["simulate", "--signal", "blocks", "--n", "64", "--min", "1", "--max", "1e308",
+      "--noise", "poisson", "--seed", "1"], "poisson noise overflows"),
 ], ids=lambda a: " ".join(a) if isinstance(a, list) else None)
 def test_data_near_float_max_is_overflow_error(flags, message, tmp_path, capsys):
     x = np.full(64, 1.5e308)

@@ -1,3 +1,6 @@
+import re
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,7 +9,8 @@ from hypothesis.extra.numpy import arrays
 
 from fiszkit import (CoeffPyramid, daubechies, dwt_forward, dwt_inverse, haar,
                      local_means, make_blocks, wavelet_vector)
-from fiszkit.wavelet import WaveletBasis, _analysis_step, _synthesis_step, basis_by_name
+from fiszkit.wavelet import (BASIS_NAMES, WaveletBasis, _analysis_step, _synthesis_step,
+                             basis_by_name)
 
 ALL_BASES = [haar(), daubechies(4), daubechies(6), daubechies(8)]
 
@@ -34,6 +38,32 @@ def transform_matrix(n, lowpass):
         total = step @ total
         m //= 2
     return total  # row order: smooth, then levels coarse to fine
+
+
+def daubechies_lowpass_oracle(taps):
+    """Oracle: the extremal-phase scaling filter by spectral factorisation.
+
+    Daubechies (1992), Ten Lectures on Wavelets, section 6.4: the roots of
+    q(z) = z^(p-1) P((2 - z - 1/z) / 4), P(y) = sum_k C(p-1+k, k) y^k, inside
+    the unit circle, times (1 + z)^p, scaled to sum sqrt(2), large taps first.
+    """
+    p = taps // 2
+    yz = np.array([-0.25, 0.5, -0.25])  # y*z as a polynomial in z, lowest degree first
+    q = np.zeros(2 * p - 1)
+    for k in range(p):
+        term = np.array([float(comb(p - 1 + k, k))])
+        for _ in range(k):
+            term = np.convolve(term, yz)
+        q[p - 1 - k:p - 1 - k + term.size] += term
+    roots = np.roots(q[::-1])
+    h = np.array([1.0])
+    for _ in range(p):
+        h = np.convolve(h, [1.0, 1.0])  # (1 + z)^p
+    for r in roots[np.abs(roots) < 1]:
+        h = np.convolve(h, [-r, 1.0])  # minimum-phase factor
+    h = np.real(h)
+    h *= np.sqrt(2.0) / h.sum()
+    return h[::-1] if abs(h[0]) < abs(h[-1]) else h
 
 
 def analysis_step_gather(approx, g, h):
@@ -238,3 +268,29 @@ class TestBasis:
         for name in ("sym5", "daub2", "daub04", "daub"):
             with pytest.raises(ValueError, match="unknown wavelet basis"):
                 basis_by_name(name)
+
+    def test_basis_names_and_messages(self):
+        assert BASIS_NAMES == ("haar", "daub4", "daub6", "daub8")
+        assert [daubechies(t).name for t in (2, 4, 6, 8)] == list(BASIS_NAMES)
+        with pytest.raises(ValueError, match=re.escape(
+                "unsupported tap count 10, choose from [2, 4, 6, 8]")):
+            daubechies(10)
+        with pytest.raises(ValueError, match=re.escape(
+                "unknown wavelet basis 'sym5', choose from ['haar', 'daub4', 'daub6', 'daub8']")):
+            basis_by_name("sym5")
+
+    @pytest.mark.parametrize("name", BASIS_NAMES)
+    def test_taps_match_spectral_factorisation(self, name):
+        # within 2 ulp, not bit for bit: the oracle's roots come from the local LAPACK
+        g = np.array(basis_by_name(name).lowpass)
+        want = daubechies_lowpass_oracle(g.size)
+        assert np.all(np.abs(g - want) <= 2 * np.spacing(np.abs(want)))
+
+    @pytest.mark.parametrize("name", BASIS_NAMES)
+    def test_vanishing_moments(self, name):
+        # the highpass (-1)^k g_k annihilates the polynomials of degree < L/2
+        g = np.array(basis_by_name(name).lowpass)
+        k = np.arange(g.size, dtype=float)
+        for m in range(g.size // 2):
+            terms = (-1.0) ** k * k**m * g
+            assert abs(terms.sum()) <= 1e-13 * np.abs(terms).sum()
