@@ -93,10 +93,17 @@ def _varfn_config(args) -> VarFnConfig:
     return VarFnConfig(half_window=args.M, bandwidth=args.bandwidth, grid_size=args.grid)
 
 
+def _sigma(args, law, law_flag: str) -> float:
+    if args.sigma is not None and law != GAUSSIAN:  # no other law has a free sd
+        raise ValueError(f"--sigma needs {law_flag} gaussian")
+    return 1.0 if args.sigma is None else args.sigma
+
+
 def _estimator_config(args) -> EstimatorConfig:
-    known = None
-    if getattr(args, "known_h", None):
-        known = partial(true_variance_function, NoiseModel(args.known_h, sigma=args.sigma))
+    if args.baseline and args.emit_plots:  # the comparator has no thresholds to write
+        raise ValueError("--emit-plots and --baseline exclude each other")
+    sigma = _sigma(args, args.known_h, "--known-h")
+    known = args.known_h and partial(true_variance_function, NoiseModel(args.known_h, sigma=sigma))
     return EstimatorConfig(
         max_level=args.jstar,
         rule=args.rule,
@@ -114,7 +121,8 @@ def _simulate_config(args) -> tuple[NoiseModel, SeedSpec]:
                          f"got [{args.min}, {args.max}]")
     if args.noise != GAUSSIAN and not args.min > 0:
         raise ValueError(f"{args.noise} noise needs --min > 0, got {args.min}")
-    return NoiseModel(args.noise, sigma=args.sigma), SeedSpec(args.seed, args.rep)
+    sigma = _sigma(args, args.noise, "--noise")
+    return NoiseModel(args.noise, sigma=sigma), SeedSpec(args.seed, args.rep)
 
 
 def _bench_config(args) -> EstimatorConfig:
@@ -152,7 +160,7 @@ def cmd_simulate(args, cfg) -> int:
     noisy = sample_noise(truth, noise, seed)
     prefix = Path(args.out)
     header = [f"signal={args.signal} n={args.n} min={args.min} max={args.max}",
-              f"noise={args.noise} sigma={args.sigma} seed={args.seed} rep={args.rep}"]
+              f"noise={args.noise} sigma={noise.sigma} seed={args.seed} rep={args.rep}"]
     write_series(prefix.with_name(prefix.name + "_truth.txt"), truth, header)
     write_series(prefix.with_name(prefix.name + "_noisy.txt"), noisy, header)
     return 0
@@ -293,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min", type=float, required=True)
     p.add_argument("--max", type=float, required=True)
     p.add_argument("--noise", choices=NOISE_KINDS, required=True)
-    p.add_argument("--sigma", type=float, default=1.0)
+    p.add_argument("--sigma", type=float, default=None, help="noise sd for --noise gaussian")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--rep", type=int, default=0)
     p.add_argument("--out", required=True, help="output prefix (writes <out>_truth.txt, <out>_noisy.txt)")
@@ -304,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     law = p.add_mutually_exclusive_group()  # the MAD comparator takes no variance law
     law.add_argument("--known-h", choices=NOISE_KINDS, default=None)
-    p.add_argument("--sigma", type=float, default=1.0, help="noise sd for --known-h gaussian")
+    p.add_argument("--sigma", type=float, default=None, help="noise sd for --known-h gaussian")
     law.add_argument("--baseline", action="store_true",
                      help="use the running-MAD comparator instead")
     p.add_argument("--emit-plots", action="store_true")
@@ -340,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     _add_estimator_flags(p, default_m=1)
-    p.set_defaults(func=cmd_bench, config=_bench_config)
+    p.set_defaults(func=cmd_bench, config=_bench_config,  # the fitted law, no sidecars
+                   known_h=None, sigma=None, baseline=False, emit_plots=False)
 
     return parser
 

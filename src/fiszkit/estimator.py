@@ -30,12 +30,12 @@ import numpy as np
 
 from .signals import as_signal
 from .varfn import VarFnConfig, VarianceEstimate, estimate_variance_function
-from .wavelet import CoeffPyramid, WaveletBasis, cycle_spin, haar, shifted_local_means
+from .wavelet import (CoeffPyramid, WaveletBasis, _checked_thresholds, cycle_spin, haar,
+                      shifted_local_means)
 
 __all__ = [
     "EstimatorConfig",
     "EstimateResult",
-    "n_threshold_coeffs",
     "universal_factor",
     "soft_threshold",
     "hard_threshold",
@@ -50,16 +50,15 @@ __all__ = [
 MAD_TO_SIGMA = 1.4826  # normal-consistency constant for the MAD
 
 
-def n_threshold_coeffs(max_level: int) -> int:
-    """Number of detail coefficients at levels 0 .. max_level-1."""
+def universal_factor(max_level: int) -> float:
+    """sqrt(2 log N) for the N = 2^max_level - 1 detail coefficients of levels < max_level.
+
+    One level gives sqrt(2 log 1) = 0. The range check against a signal's
+    depth is the engine's (:func:`fiszkit.wavelet.cycle_spin`).
+    """
     if max_level < 1:
         raise ValueError(f"max_level must be >= 1, got {max_level}")
-    return (1 << max_level) - 1
-
-
-def universal_factor(max_level: int) -> float:
-    """sqrt(2 log N) for N coefficients under consideration."""
-    return sqrt(2.0 * log(n_threshold_coeffs(max_level)))
+    return sqrt(2.0 * log((1 << max_level) - 1))
 
 
 def soft_threshold(y, lam):
@@ -101,11 +100,9 @@ class EstimatorConfig:
         if self.max_level is not None and self.max_level < 1:
             raise ValueError(f"max_level must be >= 1, got {self.max_level}")
 
-    def resolve_max_level(self, n_levels: int) -> int:
-        ml = self.max_level if self.max_level is not None else max(1, n_levels - 2)
-        if not 1 <= ml <= n_levels:
-            raise ValueError(f"max_level must be in [1, {n_levels}], got {ml}")
-        return ml
+    def resolve_max_level(self, depth: int) -> int:
+        """``max_level``, or max(1, depth - 2) if None; :func:`cycle_spin` checks the range."""
+        return self.max_level if self.max_level is not None else max(1, depth - 2)
 
 
 @dataclass
@@ -149,21 +146,12 @@ def apply_threshold(p: CoeffPyramid, thresholds: list[np.ndarray], rule: str,
                     max_level: int) -> CoeffPyramid:
     """Threshold levels below ``max_level``, zero the rest, keep the smooth."""
     shrink = _RULES[rule]
-    if max_level > p.n_levels:
-        raise ValueError(f"max_level {max_level} exceeds pyramid depth {p.n_levels}")
+    if max_level > len(p.details):
+        raise ValueError(f"max_level {max_level} exceeds pyramid depth {len(p.details)}")
     if len(thresholds) < max_level:
         raise ValueError(f"need thresholds for {max_level} levels, got {len(thresholds)}")
-    details = []
-    for j, d in enumerate(p.details):
-        if j >= max_level:
-            details.append(np.zeros_like(d))
-            continue
-        lam = np.asarray(thresholds[j], dtype=float)
-        if lam.shape != d.shape:
-            raise ValueError(f"threshold level {j} has shape {lam.shape}, expected {d.shape}")
-        if not np.all(lam >= 0):
-            raise ValueError(f"negative or NaN threshold at level {j}")
-        details.append(shrink(d, lam))
+    details = [shrink(d, _checked_thresholds(j, thresholds[j], d)) if j < max_level
+               else np.zeros_like(d) for j, d in enumerate(p.details)]
     return CoeffPyramid(details, p.smooth)
 
 
@@ -175,14 +163,13 @@ def _denoise(x: np.ndarray, cfg: EstimatorConfig, level_sd: Callable):
     """
     n = x.size
     max_level = cfg.resolve_max_level(n.bit_length() - 1)
-    factor = universal_factor(max_level)
     # Thinning keeps the first n/stride consecutive shifts: they cover every
     # alignment of the fine levels, where the averaging matters; strided
     # shifts would leave those levels aligned identically in every pass.
     shifts = max(1, n // cfg.shift_stride) if cfg.translation_invariant else 1
 
-    def threshold_fn(j, rows):
-        return level_sd(j, rows) * factor
+    def threshold_fn(j, rows):  # called only after cycle_spin has checked max_level
+        return level_sd(j, rows) * universal_factor(max_level)
 
     values, thr, shrunk = cycle_spin(x, cfg.basis, shifts, max_level, threshold_fn,
                                      _RULES[cfg.rule])

@@ -304,7 +304,7 @@ def estimate_variance_function(x, cfg: VarFnConfig | None = None) -> VarianceEst
                          "overflow at this data scale")
     iso = pava_isotone(raw)
     peak = float(raw.max())
-    floor_eps = 1e-10 * peak if peak > 0 else _TINY_FLOOR
+    floor_eps = max(1e-10 * peak, np.nextafter(0.0, 1.0)) if peak > 0 else _TINY_FLOOR
     return VarianceEstimate(grid, np.maximum(iso, floor_eps), floor_eps,
                             bandwidth=bandwidth, half_window=cfg.half_window,
                             populated=populated)

@@ -35,7 +35,6 @@ from .signals import as_signal
 __all__ = [
     "WaveletBasis",
     "haar",
-    "daubechies",
     "CoeffPyramid",
     "dwt_forward",
     "dwt_inverse",
@@ -90,14 +89,6 @@ def haar() -> WaveletBasis:
     return basis_by_name("haar")
 
 
-def daubechies(taps: int) -> WaveletBasis:
-    """Daubechies extremal-phase basis with the given tap count (2, 4, 6 or 8)."""
-    names = {len(g): name for name, g in _LOWPASS.items()}
-    if taps not in names:
-        raise ValueError(f"unsupported tap count {taps}, choose from {list(names)}")
-    return basis_by_name(names[taps])
-
-
 def basis_by_name(name: str) -> WaveletBasis:
     if name not in _LOWPASS:
         raise ValueError(f"unknown wavelet basis {name!r}, choose from {list(BASIS_NAMES)}")
@@ -121,10 +112,6 @@ class CoeffPyramid:
             if d.shape != (1 << j,):
                 raise ValueError(f"level {j} must hold {1 << j} coefficients, got shape {d.shape}")
             self.details[j] = d
-
-    @property
-    def n_levels(self) -> int:
-        return len(self.details)
 
     def energy(self) -> float:
         return self.smooth**2 + sum(float(np.sum(d**2)) for d in self.details)
@@ -279,6 +266,21 @@ def local_means(x, basis: WaveletBasis | None = None) -> list[np.ndarray]:
 _COEFF_OVERFLOW = "wavelet coefficients overflow at this data scale"
 
 
+def _checked_thresholds(j: int, lam, detail: np.ndarray) -> np.ndarray:
+    """``lam`` as floats, one threshold >= 0 per coefficient of the level-``j`` ``detail``.
+
+    A negative or NaN threshold of non-finite details is reported as their overflow.
+    """
+    lam = np.asarray(lam, dtype=float)
+    if lam.shape != detail.shape:
+        raise ValueError(f"threshold level {j} has shape {lam.shape}, expected {detail.shape}")
+    if not np.all(lam >= 0):
+        if not np.all(np.isfinite(detail)):
+            raise ValueError(_COEFF_OVERFLOW)
+        raise ValueError(f"negative or NaN threshold at level {j}")
+    return lam
+
+
 @np.errstate(over="ignore", invalid="ignore")  # overflow is reported as one ValueError
 def cycle_spin(x, basis: WaveletBasis, shifts: int, max_level: int,
                threshold_fn, shrink) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
@@ -326,13 +328,7 @@ def cycle_spin(x, basis: WaveletBasis, shifts: int, max_level: int,
         if j >= max_level:
             shrunk.append(None)
             continue
-        lam = np.asarray(threshold_fn(j, detail), dtype=float)
-        if lam.shape != detail.shape:
-            raise ValueError(f"threshold level {j} has shape {lam.shape}, expected {detail.shape}")
-        if not np.all(lam >= 0):
-            if not np.all(np.isfinite(detail)):
-                raise ValueError(_COEFF_OVERFLOW)
-            raise ValueError(f"negative or NaN threshold at level {j}")
+        lam = _checked_thresholds(j, threshold_fn(j, detail), detail)
         shrunk.append(shrink(detail, lam))
         first_thr.append(lam[0].copy())
     for d in reversed(range(depth)):

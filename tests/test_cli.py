@@ -9,7 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fiszkit import EstimatorConfig, estimate
+from fiszkit import EstimatorConfig, estimate, make_blocks
 from fiszkit.cli import main, read_series, write_series
 
 
@@ -112,6 +112,14 @@ class TestSimulate:
         assert (truth.min(), truth.max()) == (1.0, 1e308)
         assert np.all(np.isfinite(read_series(tmp_path / "a_noisy.txt")))
 
+    @pytest.mark.parametrize("noise, flags, sigma", [
+        ("poisson", [], "1.0"), ("gaussian", [], "1.0"), ("gaussian", ["--sigma", 2.5], "2.5")])
+    def test_header_records_sigma(self, noise, flags, sigma, tmp_path):
+        assert run_cli(["simulate", "--signal", "blocks", "--n", 64, "--min", 1, "--max", 2,
+                        "--noise", noise, "--seed", 1, *flags, "--out", tmp_path / "a"]) == 0
+        header = (tmp_path / "a_noisy.txt").read_text().splitlines()[1]
+        assert header == f"# noise={noise} sigma={sigma} seed=1 rep=0"
+
     def test_non_dyadic_length_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli(["simulate", "--signal", "blocks", "--n", 2047, "--min", 1,
@@ -202,6 +210,12 @@ INVALID_FLAGS = [
       for cmd in (["estimate"], ["varfn"], ["vst", "forward", "--divisors", "d.txt"],
                   ["bench", "--reps", 1, "--seed", 1])],
     ["estimate", "--baseline", "--known-h", "exponential"],  # the comparator takes no law
+    ["estimate", "--baseline", "--emit-plots"],  # nor has it thresholds to write
+    # --sigma sets the sd of the gaussian law only
+    *[["estimate", *flags, "--sigma", 5] for flags in (
+        [], ["--baseline"], ["--known-h", "poisson"], ["--known-h", "exponential"])],
+    *[["simulate", "--signal", "blocks", "--n", 64, "--min", 1, "--max", 2,
+       "--noise", noise, "--seed", 1, "--sigma", 7] for noise in ("poisson", "exponential")],
     ["vst", "forward", "--divisors", "d.txt", "--grid", 1],
     *[["vst", "inverse", "--divisors", "d.txt", *flag]  # only forward fits or picks a basis
       for flag in (["--basis", "daub8"], ["--M", 3], ["--bandwidth", 1], ["--grid", 64])],
@@ -348,6 +362,12 @@ class TestVst:
                         "--out", tmp_path / "xt.txt", "--divisors", tmp_path / "div.txt"]) == 0
         fixture = Path(__file__).parent / "data" / "vst_daub8_n1024_divisors.txt"
         assert (tmp_path / "div.txt").read_bytes() == fixture.read_bytes()
+
+    def test_forward_where_the_variance_floor_underflows(self, tmp_path):
+        # 1e-10 times the fitted peak variance is below the smallest double here
+        write_series(tmp_path / "tiny.txt", make_blocks(256, 1.0, 22.6) * 1e-160)
+        assert run_cli(["vst", "forward", "--in", tmp_path / "tiny.txt",
+                        "--out", tmp_path / "xt.txt", "--divisors", tmp_path / "div.txt"]) == 0
 
     def test_inverse_with_bad_divisor_file_is_data_error(self, poisson_file, tmp_path, capsys):
         div = tmp_path / "div.txt"

@@ -1,5 +1,8 @@
+import re
+import time
 import tracemalloc
 import warnings
+from math import log, sqrt
 
 import numpy as np
 import pytest
@@ -8,17 +11,17 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fiszkit import (EstimatorConfig, NoiseModel, SeedSpec, VarianceEstimate,
-                     apply_threshold, baseline_mad_estimate, daubechies, dwt_forward,
-                     dwt_inverse, estimate, estimate_variance_function, haar,
-                     hard_threshold, local_means, make_blocks, make_bumps,
-                     n_threshold_coeffs, sample_noise, soft_threshold,
+                     apply_threshold, baseline_mad_estimate, dwt_forward, dwt_inverse,
+                     estimate, estimate_variance_function, haar, hard_threshold,
+                     local_means, make_blocks, make_bumps, sample_noise, soft_threshold,
                      thresholds_data_driven, thresholds_known_h, universal_factor)
 from fiszkit.estimator import MAD_TO_SIGMA, _mad_window, _running_mad, coefficient_sd
-from fiszkit.wavelet import _analysis_step, _synthesis_step, cycle_spin, shifted_local_means
+from fiszkit.wavelet import (BASIS_NAMES, _analysis_step, _synthesis_step, basis_by_name,
+                             cycle_spin, shifted_local_means)
 
 H_POISSON = lambda u: np.asarray(u, dtype=float)
 H_SQUARE = lambda u: np.asarray(u, dtype=float) ** 2
-ALL_BASES = [haar(), daubechies(4), daubechies(6), daubechies(8)]
+ALL_BASES = [basis_by_name(name) for name in BASIS_NAMES]
 
 
 def mad_window_stack(values, window):
@@ -129,11 +132,12 @@ def scalar_rule(y, lam, rule):
 class TestCounts:
     @pytest.mark.parametrize("max_level,expected", [(1, 1), (3, 7), (9, 511)])
     def test_count(self, max_level, expected):
-        assert n_threshold_coeffs(max_level) == expected
+        # sqrt(2 log N) over the N = 2^max_level - 1 coefficients of the thresholded levels
+        assert universal_factor(max_level) == sqrt(2.0 * log(expected))
 
     def test_invalid_level(self):
-        with pytest.raises(ValueError):
-            n_threshold_coeffs(0)
+        with pytest.raises(ValueError, match="max_level must be >= 1, got 0"):
+            universal_factor(0)
 
 
 class TestThresholdBuilders:
@@ -376,7 +380,7 @@ class TestEstimate:
                 np.testing.assert_array_equal(a, b)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("basis", [haar(), daubechies(4)], ids=lambda b: b.name)
+    @pytest.mark.parametrize("basis", [haar(), basis_by_name("daub4")], ids=lambda b: b.name)
     @pytest.mark.parametrize("shifts", [1, 2, 3, 5, 7, 127, 128, 682, 2047, 2048])
     def test_cycle_spin_merge_is_bit_exact(self, shifts, basis):
         x = sample_noise(make_blocks(2048, 1.0, 22.6), NoiseModel("poisson"), SeedSpec(66, 1))
@@ -405,7 +409,7 @@ class TestEstimate:
         # daub8's periodically extended rows count too
         n = 1 << 12
         x = np.random.default_rng(65).uniform(1.0, 20.0, size=n)
-        for basis in (haar(), daubechies(8)):
+        for basis in (haar(), basis_by_name("daub8")):
             tracemalloc.start()
             try:
                 cycle_spin(x, basis, n, 10, lambda j, rows: np.ones_like(rows), hard_threshold)
@@ -425,6 +429,42 @@ class TestEstimate:
         with pytest.raises(ValueError, match="NaN"):
             cycle_spin(x, haar(), 8, 2, lambda j, rows: np.full_like(rows, np.nan),
                        hard_threshold)
+
+    @pytest.mark.parametrize("x, lam_of, message", [
+        (np.arange(1.0, 9.0), lambda d: np.ones(3),
+         r"threshold level 0 has shape \(3,\), expected \("),
+        (np.arange(1.0, 9.0), lambda d: -np.ones(d.shape), "negative or NaN threshold at level 0"),
+        (np.arange(1.0, 9.0), lambda d: np.full(d.shape, np.nan),
+         "negative or NaN threshold at level 0"),
+        # neighbour sums overflow, so the level-0 detail is not finite; a
+        # threshold built from it is NaN there
+        (np.array([1.0, *[1.5e308] * 4, 1.0, 1.5e308, 1.5e308]),
+         lambda d: np.where(np.isfinite(d), 1.0, np.nan), "wavelet coefficients overflow"),
+    ], ids=["shape", "negative", "nan", "non-finite details"])
+    def test_engine_and_pyramid_share_the_threshold_check(self, x, lam_of, message):
+        with pytest.raises(ValueError, match=message):
+            cycle_spin(x, haar(), 1, 1, lambda j, rows: lam_of(rows), hard_threshold)
+        with np.errstate(over="ignore", invalid="ignore"):  # the check reports the overflow
+            p = dwt_forward(x)
+        with pytest.raises(ValueError, match=message):
+            apply_threshold(p, [lam_of(p.details[0])], "hard", 1)
+
+    def test_out_of_range_max_level_fails_before_any_factor(self):
+        # 2^(10^9) - 1, the coefficient count of 10^9 levels, is a 125 MB integer
+        x = sample_noise(make_blocks(2048, 1.0, 22.6), NoiseModel("poisson"), SeedSpec(67, 1))
+        cfg = EstimatorConfig(max_level=10**9)
+        for route in (estimate, baseline_mad_estimate):
+            tracemalloc.start()
+            start = time.perf_counter()
+            try:
+                with pytest.raises(ValueError, match=re.escape(
+                        "max_level must be in [1, 11], got 1000000000")):
+                    route(x, cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert time.perf_counter() - start < 0.5, route.__name__
+            assert peak < 8 << 20, route.__name__
 
     def test_two_samples(self):
         # known law: no variance fit, so n = 2 runs through the engine

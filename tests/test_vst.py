@@ -25,7 +25,7 @@ def vst_oracle(x, hhat, basis):
     lm = local_means(x, basis)
     floor = np.sqrt(hhat.floor_eps)
     divisors = [np.maximum(coefficient_sd(lm[j], hhat.query, j), floor)
-                for j in range(p.n_levels)]
+                for j in range(len(p.details))]
     q = CoeffPyramid([d / div for d, div in zip(p.details, divisors)], p.smooth)
     return dwt_inverse(q, basis), divisors
 
