@@ -22,7 +22,7 @@ import numpy as np
 
 from .estimator import _RULES, EstimatorConfig, baseline_mad_estimate, estimate
 from .signals import (GAUSSIAN, NOISE_KINDS, SIGNAL_GENERATORS, NoiseModel, SeedSpec,
-                      sample_noise, true_variance_function)
+                      _check_length, sample_noise, true_variance_function)
 from .textio import data_rows, first_rejected, format_rows, level_index, row_line
 from .varfn import VarFnConfig, VarianceEstimate, estimate_variance_function
 from .vst import divisors_as_lines, divisors_from_lines, forward_vst, inverse_vst
@@ -78,13 +78,6 @@ def _sidecar(out_path, tag: str) -> Path:
 
 # ------------------------------------------------------------ flag parsing
 
-def _dyadic(text: str) -> int:
-    n = int(text)
-    if n < 2 or n & (n - 1):
-        raise argparse.ArgumentTypeError(f"length must be a power of two >= 2, got {n}")
-    return n
-
-
 def _bandwidth(text: str):
     return text if text == "auto" else float(text)  # VarFnConfig checks the value
 
@@ -102,9 +95,11 @@ def _sigma(args, law, law_flag: str) -> float:
 def _estimator_config(args) -> EstimatorConfig:
     if args.baseline and args.emit_plots:  # the comparator has no thresholds to write
         raise ValueError("--emit-plots and --baseline exclude each other")
+    if not args.ti and args.stride != 1:  # the one unshifted pass has no shifts to thin
+        raise ValueError("--stride and --no-ti exclude each other")
     sigma = _sigma(args, args.known_h, "--known-h")
     known = args.known_h and partial(true_variance_function, NoiseModel(args.known_h, sigma=sigma))
-    return EstimatorConfig(
+    cfg = EstimatorConfig(
         max_level=args.jstar,
         rule=args.rule,
         translation_invariant=args.ti,
@@ -113,9 +108,14 @@ def _estimator_config(args) -> EstimatorConfig:
         known_variance=known,
         varfn=_varfn_config(args),
     )
+    if (args.known_h or args.baseline) and cfg.varfn != EstimatorConfig().varfn:
+        raise ValueError("--M, --bandwidth and --grid tune the variance fit, "
+                         "which --known-h and --baseline skip")
+    return cfg
 
 
 def _simulate_config(args) -> tuple[NoiseModel, SeedSpec]:
+    _check_length(args.n)
     if not 0 < args.max - args.min < inf:  # also rejects NaN and infinities
         raise ValueError("need --min < --max a finite distance apart, "
                          f"got [{args.min}, {args.max}]")
@@ -128,6 +128,7 @@ def _simulate_config(args) -> tuple[NoiseModel, SeedSpec]:
 def _bench_config(args) -> EstimatorConfig:
     if args.reps < 1:
         raise ValueError(f"reps must be >= 1, got {args.reps}")
+    _check_length(args.n)
     SeedSpec(args.seed)  # rejects a master seed outside the stream keys
     return _estimator_config(args)
 
@@ -297,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="write a benchmark signal and a noisy sample")
     p.add_argument("--signal", choices=sorted(SIGNAL_GENERATORS), required=True)
-    p.add_argument("--n", type=_dyadic, required=True)
+    p.add_argument("--n", type=int, required=True)
     p.add_argument("--min", type=float, required=True)
     p.add_argument("--max", type=float, required=True)
     p.add_argument("--noise", choices=NOISE_KINDS, required=True)
@@ -344,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="mean-squared-error table over seeded replications")
     p.add_argument("--reps", type=int, required=True)
-    p.add_argument("--n", type=_dyadic, default=2048)
+    p.add_argument("--n", type=int, default=2048)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     _add_estimator_flags(p, default_m=1)

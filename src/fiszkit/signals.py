@@ -49,14 +49,18 @@ _BUMPS_H = np.array([4.0, 5.0, 3.0, 4.0, 5.0, 4.2, 2.1, 4.3, 3.1, 5.1, 4.2])
 _BUMPS_W = np.array([0.005, 0.005, 0.006, 0.01, 0.01, 0.03, 0.01, 0.01, 0.005, 0.008, 0.005])
 
 
+def _check_length(n: int) -> None:
+    """The one dyadic-length rule: signals, generators and the CLI's ``--n`` share it."""
+    if n < 2 or n & (n - 1):
+        raise ValueError(f"signal length must be a power of two >= 2, got {n}")
+
+
 def as_signal(x) -> np.ndarray:
     """Validate and return ``x`` as a float64 signal of dyadic length."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError(f"signal must be one-dimensional, got shape {x.shape}")
-    n = x.size
-    if n < 2 or n & (n - 1):
-        raise ValueError(f"signal length must be a power of two >= 2, got {n}")
+    _check_length(x.size)
     if not np.all(np.isfinite(x)):
         raise ValueError("signal contains non-finite values")
     return x
@@ -78,8 +82,7 @@ def rescale_to_range(x, min_val: float, max_val: float) -> np.ndarray:
 
 
 def _grid(n: int) -> np.ndarray:
-    if n < 2 or n & (n - 1):
-        raise ValueError(f"signal length must be a power of two >= 2, got {n}")
+    _check_length(n)
     return np.arange(1, n + 1) / n
 
 

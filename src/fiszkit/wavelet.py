@@ -14,9 +14,10 @@ and re-rounding to the published decimals would move every output.
 
 Alongside the transform proper, :func:`local_means` computes, for every
 detail coefficient, the uniform average of the data over the support of
-that coefficient's wavelet vector. For Haar these are rescaled scaling
-coefficients; for longer filters the supports are cyclic intervals found
-once per (basis, length) and cached.
+that coefficient's wavelet vector. That support starts at the
+coefficient's first sample, (k - 1) 2^(J-j), and its length per level is
+found once per (basis, length) and cached. For Haar the means are rescaled
+scaling coefficients.
 
 :func:`cycle_spin` is the one shift-averaging engine: it thresholds every
 circular shift of a signal and averages the results through a
@@ -196,34 +197,18 @@ def wavelet_vector(basis: WaveletBasis, n: int, j: int, k: int) -> np.ndarray:
     return dwt_inverse(CoeffPyramid(details, smooth), basis)
 
 
-def _min_cyclic_interval(indices: np.ndarray, n: int) -> tuple[int, int]:
-    """Smallest cyclic interval [start, start+length) covering ``indices``."""
-    m = indices.size
-    if m == n:
-        return 0, n
-    gaps = np.diff(np.append(indices, indices[0] + n))
-    widest = int(np.argmax(gaps))
-    start = int(indices[(widest + 1) % m])
-    length = n - int(gaps[widest]) + 1
-    return start, length
-
-
 @lru_cache(maxsize=None)
-def _level_supports(basis: WaveletBasis, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per level: (start, length) of the support of the k=1 wavelet vector.
+def _support_lengths(basis: WaveletBasis, n: int) -> tuple[int, ...]:
+    """Per level j: the support length of the k=1 wavelet vector, which starts at sample 0.
 
-    Supports of the remaining coefficients at level j follow by rotating
-    in steps of 2^(J-j), a consequence of the periodic decimated cascade.
+    It runs to the last entry above 1e-12 x the peak. Coefficient k's support is the
+    same one rotated by (k - 1) 2^(J-j), by the periodic decimated cascade.
     """
-    J = n.bit_length() - 1
-    starts, lengths = [], []
-    for j in range(J):
-        v = wavelet_vector(basis, n, j, 1)
-        sup = np.flatnonzero(np.abs(v) > 1e-12 * np.max(np.abs(v)))
-        s, ln = _min_cyclic_interval(sup, n)
-        starts.append(s)
-        lengths.append(ln)
-    return tuple(starts), tuple(lengths)
+    lengths = []
+    for j in range(n.bit_length() - 1):
+        v = np.abs(wavelet_vector(basis, n, j, 1))
+        lengths.append(int(np.flatnonzero(v > 1e-12 * np.max(v))[-1]) + 1)
+    return tuple(lengths)
 
 
 def shifted_local_means(x, basis: WaveletBasis | None = None):
@@ -231,12 +216,13 @@ def shifted_local_means(x, basis: WaveletBasis | None = None):
 
     Row s of ``means(j, count)`` equals ``local_means(np.roll(x, s))[j]``:
     coefficient (j, k) of the shift-s signal averages ``x`` over the cyclic
-    interval of its support moved back by s. The cumulative sum is built
-    once, so each call costs only the positions asked for.
+    window of level j's support length that starts at sample
+    (k - 1) 2^(J-j) - s. The cumulative sum is built once, so each call
+    costs only the positions asked for.
     """
     x = as_signal(x)
     n = x.size
-    starts, lengths = _level_supports(basis or haar(), n)
+    lengths = _support_lengths(basis or haar(), n)
     with np.errstate(over="ignore", invalid="ignore"):
         csum = np.concatenate([[0.0], np.cumsum(np.concatenate([x, x]))])
         # every mean is a difference of two partial sums, so a finite range
@@ -246,7 +232,7 @@ def shifted_local_means(x, basis: WaveletBasis | None = None):
         raise ValueError("local means overflow at this data scale")
 
     def means(j: int, count: int) -> np.ndarray:
-        s = (starts[j] + (n >> j) * np.arange(1 << j) - np.arange(count)[:, None]) % n
+        s = ((n >> j) * np.arange(1 << j) - np.arange(count)[:, None]) % n
         return (csum[s + lengths[j]] - csum[s]) / lengths[j]
     return means
 

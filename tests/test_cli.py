@@ -230,6 +230,12 @@ INVALID_FLAGS = [
     ["bench", "--reps", 0, "--seed", 1],
     ["bench", "--reps", 1, "--seed", -1],
     ["bench", "--reps", 1, "--seed", 1, "--stride", 0],
+    # one unshifted pass has no shifts for --stride to thin
+    ["estimate", "--no-ti", "--stride", 16],
+    ["bench", "--reps", 1, "--seed", 1, "--no-ti", "--stride", 16],
+    # the fit flags tune a fit that a known law or the comparator skips
+    *[["estimate", *law, *flag] for law in (["--known-h", "poisson"], ["--baseline"])
+      for flag in (["--M", 3], ["--bandwidth", 0.5], ["--grid", 16])],
 ]
 
 
@@ -242,6 +248,18 @@ def test_invalid_flag_value_is_usage_error(argv, tmp_path):
         run_cli(argv)
     assert exc.value.code == 2
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flags, same_as", [
+    (["--no-ti", "--stride", 1], ["--no-ti"]),
+    (["--known-h", "poisson", "--M", 1, "--bandwidth", "auto", "--grid", 256],
+     ["--known-h", "poisson"]),
+    (["--baseline", "--M", 1], ["--baseline"]),
+], ids=lambda a: " ".join(map(str, a)))
+def test_flags_at_their_defaults_stay_accepted(flags, same_as, poisson_file, tmp_path):
+    assert run_cli(["estimate", "--in", poisson_file, "--out", tmp_path / "a.txt", *flags]) == 0
+    assert run_cli(["estimate", "--in", poisson_file, "--out", tmp_path / "b.txt", *same_as]) == 0
+    assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
 
 
 def test_jstar_deeper_than_input_is_data_error(poisson_file, tmp_path):

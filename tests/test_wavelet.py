@@ -9,10 +9,22 @@ from hypothesis.extra.numpy import arrays
 
 from fiszkit import (CoeffPyramid, dwt_forward, dwt_inverse, haar, local_means, make_blocks,
                      wavelet_vector)
-from fiszkit.wavelet import (BASIS_NAMES, WaveletBasis, _analysis_step, _synthesis_step,
-                             basis_by_name)
+from fiszkit.wavelet import (BASIS_NAMES, WaveletBasis, _analysis_step, _support_lengths,
+                             _synthesis_step, basis_by_name)
 
 ALL_BASES = [basis_by_name(name) for name in BASIS_NAMES]
+
+
+def min_cyclic_support(v):
+    """Oracle: (start, length) of the minimal cyclic interval holding the entries of ``v``
+    above 1e-12 x its peak."""
+    n = v.size
+    idx = np.flatnonzero(np.abs(v) > 1e-12 * np.max(np.abs(v)))
+    if idx.size == n:
+        return 0, n
+    gaps = np.diff(np.append(idx, idx[0] + n))
+    w = int(np.argmax(gaps))
+    return int(idx[(w + 1) % idx.size]), n - int(gaps[w]) + 1
 
 
 def flatten(p):
@@ -236,19 +248,14 @@ class TestLocalMeans:
         lm = local_means(x, basis)
         for j in (0, 2, 5):
             for k in (1, (1 << j) // 2 + 1):
-                v = wavelet_vector(basis, n, j, k)
-                sup = np.abs(v) > 1e-12 * np.max(np.abs(v))
-                # uniform average over the minimal cyclic interval holding the support
-                idx = np.flatnonzero(sup)
-                if idx.size == n:
-                    expected = x.mean()
-                else:
-                    gaps = np.diff(np.append(idx, idx[0] + n))
-                    w = int(np.argmax(gaps))
-                    start = int(idx[(w + 1) % idx.size])
-                    length = n - int(gaps[w]) + 1
-                    expected = np.roll(x, -start)[:length].mean()
+                start, length = min_cyclic_support(wavelet_vector(basis, n, j, k))
+                expected = np.roll(x, -start)[:length].mean()
                 assert lm[j][k - 1] == pytest.approx(expected, rel=1e-10)
+        # the k = 1 support starts at sample 0 and has the cached length, at every size
+        for n in (1 << J for J in range(1, 15)):
+            supports = [min_cyclic_support(wavelet_vector(basis, n, j, 1))
+                        for j in range(n.bit_length() - 1)]
+            assert supports == [(0, length) for length in _support_lengths(basis, n)], n
 
 
 class TestBasis:
