@@ -15,6 +15,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from math import inf
 from pathlib import Path
 
@@ -23,7 +24,7 @@ import numpy as np
 from .estimator import _RULES, EstimatorConfig, baseline_mad_estimate, estimate
 from .signals import (GAUSSIAN, NOISE_KINDS, SIGNAL_GENERATORS, NoiseModel, SeedSpec,
                       _check_length, sample_noise, true_variance_function)
-from .textio import data_rows, first_rejected, format_rows, level_index, row_line
+from .textio import data_rows, first_rejected, format_blocks, level_blocks, line_blocks
 from .varfn import VarFnConfig, VarianceEstimate, estimate_variance_function
 from .vst import divisors_as_lines, divisors_from_lines, forward_vst, inverse_vst
 from .wavelet import BASIS_NAMES, basis_by_name
@@ -46,29 +47,38 @@ def read_series(path) -> np.ndarray:
     number as Python's ``float`` reads it.
     """
     with open(path, encoding="utf-8") as f:
-        stripped, rows = data_rows(f)
-    if not rows:
+        blocks = [_series_block(path, start, block) for start, block in line_blocks(f)]
+    if not sum(map(len, blocks)):
         raise ValueError(f"{path}: no data lines")
+    return np.concatenate(blocks)
+
+
+def _series_block(path, start: int, block: list[str]) -> np.ndarray:
+    """The values of one block; the per-line passes run only if its one conversion fails."""
+    try:
+        return np.array(block, dtype=float)
+    except ValueError:
+        rows, numbers = data_rows(block, start)
     try:
         return np.array(rows, dtype=float)
     except ValueError:
         row, _ = first_rejected(rows, float)
-        raise ValueError(f"{path}:{row_line(stripped, row)}: cannot parse {rows[row]!r} "
+        raise ValueError(f"{path}:{numbers[row]}: cannot parse {rows[row]!r} "
                          "as a number") from None
 
 
 def write_series(path, values, header=()) -> None:
-    _write_text(path, "".join(f"# {line}\n" for line in header)
-                + format_rows("%.17g", np.asarray(values, dtype=float)))
+    _write_text(path, chain([f"# {line}\n" for line in header],
+                            format_blocks("%.17g", np.asarray(values, dtype=float))))
 
 
 def write_lines(path, lines) -> None:
-    _write_text(path, "\n".join([*lines, ""]))  # every line ends in LF
+    _write_text(path, ["\n".join([*lines, ""])])  # every line ends in LF
 
 
-def _write_text(path, text: str) -> None:
+def _write_text(path, texts) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(text)
+        f.writelines(texts)
 
 
 def _sidecar(out_path, tag: str) -> Path:
@@ -175,17 +185,15 @@ def cmd_estimate(args, cfg: EstimatorConfig) -> int:
     res = estimate(x, cfg)
     write_series(args.out, res.values)
     if args.emit_plots:
-        j, k = level_index(len(res.thresholds))
         _write_text(_sidecar(args.out, "thresholds"),
-                    format_rows("%d %d %.17g %d", j, k, np.concatenate(res.thresholds),
-                                np.concatenate(res.survivors)))
+                    level_blocks("%.17g %d", res.thresholds, res.survivors))
         if isinstance(res.variance_fn, VarianceEstimate):
             write_lines(_sidecar(args.out, "varfn"), res.variance_fn.as_lines())
         n = x.size
         grid = np.arange(1, n + 1) / n
         _write_text(_sidecar(args.out, "plot_estimate"),
-                    format_rows("%.17g %.17g", grid, res.values))
-        _write_text(_sidecar(args.out, "plot_input"), format_rows("%.17g %.17g", grid, x))
+                    format_blocks("%.17g %.17g", grid, res.values))
+        _write_text(_sidecar(args.out, "plot_input"), format_blocks("%.17g %.17g", grid, x))
     return 0
 
 
@@ -195,7 +203,7 @@ def cmd_varfn(args, cfg: VarFnConfig) -> int:
     write_lines(args.out, est.as_lines())
     if args.emit_plots:
         _write_text(_sidecar(args.out, "sqrt"),
-                    format_rows("%.17g %.17g", est.grid_u, np.sqrt(est.values)))
+                    format_blocks("%.17g %.17g", est.grid_u, np.sqrt(est.values)))
     return 0
 
 
@@ -204,7 +212,7 @@ def cmd_vst_forward(args, cfg: VarFnConfig) -> int:
     hhat = estimate_variance_function(x, cfg)
     xt, state = forward_vst(x, hhat, basis_by_name(args.basis))
     write_series(args.out, xt)
-    write_lines(args.divisors, divisors_as_lines(state))
+    _write_text(args.divisors, divisors_as_lines(state))
     return 0
 
 

@@ -6,71 +6,61 @@ surrounding whitespace from every line, and skip blank lines and lines
 whose first non-blank character is ``#``. A ``#`` after a number is not a
 comment, so ``1.5 # c`` is a parse error.
 
-Each function works on whole columns, one formatting or conversion call
-per block of ``BLOCK_ROWS`` rows, so the Python objects alive at once stay
-bounded however long the file is. Naming the line of a parse error is the
-only per-line loop, and it runs only once a whole-column conversion has
-failed.
+Files stream through blocks of ``BLOCK_ROWS`` raw lines, one conversion or
+formatting call per block, so O(``BLOCK_ROWS``) strings are alive at once.
+The per-line passes run only inside a block whose one call failed: one
+with a comment (a file's header costs one block), a blank line or a bad
+row. ``float`` strips a subset of what ``str.strip`` does, so a block it
+accepts whole reads as its stripped rows do.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
-__all__ = ["row_blocks", "format_rows", "level_index", "data_rows", "row_line",
-           "first_rejected"]
+__all__ = ["line_blocks", "format_blocks", "level_blocks", "data_rows", "first_rejected"]
 
 BLOCK_ROWS = 1 << 13
 
 
-def row_blocks(n_rows: int) -> list[slice]:
-    """Consecutive slices of at most ``BLOCK_ROWS`` rows covering ``n_rows`` rows."""
-    return [slice(i, i + BLOCK_ROWS) for i in range(0, n_rows, BLOCK_ROWS)]
+def line_blocks(lines):
+    """Yield ``(start, block)``: up to ``BLOCK_ROWS`` lines, the first being line ``start``."""
+    lines, start = iter(lines), 1
+    while block := list(islice(lines, BLOCK_ROWS)):
+        yield start, block
+        start += len(block)
 
 
-def format_rows(fmt: str, *columns) -> str:
-    """``fmt % row`` for every row of the equal-length ``columns``, each line ending in LF."""
+def format_blocks(fmt: str, *columns):
+    """Yield ``fmt % row`` for every row of the equal-length ``columns``, LF-ended, per block."""
     cols = [np.asarray(c) for c in columns]
-    return "".join(_format_block(fmt + "\n", [c[b] for c in cols])
-                   for b in row_blocks(len(cols[0])))
+    for i in range(0, len(cols[0]), BLOCK_ROWS):
+        values = [c[i:i + BLOCK_ROWS].tolist() for c in cols]
+        flat = values[0] if len(values) == 1 else chain.from_iterable(zip(*values))
+        yield (fmt + "\n") * len(values[0]) % tuple(flat)
 
 
-def _format_block(line: str, columns) -> str:
-    values = [c.tolist() for c in columns]
-    flat = values[0] if len(values) == 1 else chain.from_iterable(zip(*values))
-    return line * len(values[0]) % tuple(flat)
+def level_blocks(fmt: str, *levels):
+    """Yield ``j k`` and ``fmt`` rows of lists of per-level columns, level ``j`` holding 2^j."""
+    for j, cols in enumerate(zip(*levels)):
+        yield from format_blocks(f"{j} %d {fmt}", np.arange(1, cols[0].size + 1), *cols)
 
 
-def level_index(n_levels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Level ``j`` and 1-based position ``k`` of every entry of levels 0..n_levels-1.
-
-    Entries are listed level by level, level ``j`` holding 2^j of them, so
-    entry ``(j, k)`` sits at flat index 2^j - 2 + k.
-    """
-    j = np.repeat(np.arange(n_levels), 1 << np.arange(n_levels))
-    return j, np.arange(j.size) + 2 - (1 << j)
-
-
-def data_rows(lines) -> tuple[list[str], list[str]]:
-    """Strip every line; return all of them and the data rows among them.
+def data_rows(lines, start: int) -> tuple[list[str], list[int]]:
+    """The data rows among ``lines``, stripped, and their line numbers (the first is ``start``).
 
     A data row is a stripped line that is neither empty nor starts with ``#``.
     """
-    stripped = list(map(str.strip, lines))
-    return stripped, [s for s in stripped if s and s[0] != "#"]
-
-
-def row_line(stripped: list[str], row: int) -> int:
-    """1-based line number of data row ``row`` among the ``stripped`` lines."""
-    return [i for i, s in enumerate(stripped, start=1) if s and s[0] != "#"][row]
+    numbered = [(s, i) for i, s in enumerate(map(str.strip, lines), start) if s and s[0] != "#"]
+    return [s for s, _ in numbered], [i for _, i in numbered]
 
 
 def first_rejected(rows: list[str], check) -> tuple[int, Exception]:
     """Index of the first row that ``check`` raises on, and what it raised.
 
-    The per-row scan that names a bad line once a whole-column conversion
+    The per-row scan that names a bad line once a whole-block conversion
     has failed; ``check`` is the one-row definition that conversion follows.
     """
     for i, s in enumerate(rows):
@@ -78,4 +68,4 @@ def first_rejected(rows: list[str], check) -> tuple[int, Exception]:
             check(s)
         except (ValueError, OverflowError) as exc:
             return i, exc
-    raise AssertionError("a whole-column conversion failed on rows that all pass alone")
+    raise AssertionError("a whole-block conversion failed on rows that all pass alone")

@@ -23,7 +23,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .signals import as_signal
-from .textio import format_rows
+from .textio import format_blocks
 
 __all__ = [
     "triangular_kernel",
@@ -280,7 +280,7 @@ class VarianceEstimate:
         lines = [f"# floor_eps {self.floor_eps:.17g}",
                  f"# bandwidth {self.bandwidth:.17g}",
                  f"# half_window {self.half_window}"]
-        return lines + format_rows("%.17g %.17g", self.grid_u, self.values).splitlines()
+        return lines + "".join(format_blocks("%.17g %.17g", self.grid_u, self.values)).splitlines()
 
 
 def estimate_variance_function(x, cfg: VarFnConfig | None = None) -> VarianceEstimate:

@@ -11,14 +11,15 @@ shrinkage reproduces the mean-linked denoiser coefficient for coefficient.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from itertools import chain, islice
 
 import numpy as np
 
 from .estimator import EstimatorConfig, coefficient_sd, estimate
 from .signals import as_signal
-from .textio import (data_rows, first_rejected, format_rows, level_index, row_blocks,
-                     row_line)
+from .textio import data_rows, first_rejected, level_blocks, line_blocks
 from .varfn import VarianceEstimate, estimate_variance_function
 from .wavelet import WaveletBasis, basis_by_name, cycle_spin, haar, shifted_local_means
 
@@ -84,11 +85,14 @@ def denoise_via_vst(x, cfg: EstimatorConfig | None = None) -> np.ndarray:
     return inverse_vst(estimate(xt, unit).values, state)
 
 
-def divisors_as_lines(state: VstState) -> list[str]:
-    """Serialise divisors as ``j k value`` lines with a basis header."""
-    j, k = level_index(len(state.divisors))
-    rows = format_rows("%d %d %.17g", j, k, np.concatenate(state.divisors))
-    return [f"# basis {state.basis.name}", *rows.splitlines()]
+def divisors_as_lines(state: VstState) -> Iterator[str]:
+    """Yield the divisor file's text in blocks: a basis header, then ``j k value`` lines.
+
+    A block holds up to ``BLOCK_ROWS`` LF-ended lines, not one line; write
+    them to a file before ``divisors_from_lines`` reads them back.
+    """
+    yield f"# basis {state.basis.name}\n"
+    yield from level_blocks("%.17g", state.divisors)
 
 
 _MAX_LEVEL = 62  # deepest level whose 2^j positions fit an int64
@@ -107,21 +111,28 @@ def _divisor_row(s: str) -> None:
 
 
 def _divisor_columns(rows: list[str]):
-    """The ``j``, ``k`` and value columns, or None if any row fails ``_divisor_row``."""
-    if set(map(len, map(str.split, rows))) != {3}:
+    """Flat indices 2^j - 2 + k and values, or None if any row fails ``_divisor_row``."""
+    # ";" converts as no number. Once the fields convert below, 4m - 1
+    # tokens put the m - 1 separators at every fourth token, which gives
+    # every row three fields.
+    tokens = " ; ".join(rows).split()
+    if len(tokens) != 4 * len(rows) - 1:
         return None
-    blocks = []
-    for b in row_blocks(len(rows)):
-        tokens = " ".join(rows[b]).split()
-        try:
-            blocks.append((np.array(tokens[0::3], dtype=np.int64),
-                           np.array(tokens[1::3], dtype=np.int64),
-                           np.array(tokens[2::3], dtype=float)))
-        except (ValueError, OverflowError):
-            return None
-    j, k, values = map(np.concatenate, zip(*blocks))
+    try:
+        j, k = (np.array(tokens[i::4], dtype=np.int64) for i in (0, 1))
+        values = np.array(tokens[2::4], dtype=float)
+    except (ValueError, OverflowError):
+        return None
     in_range = (j >= 0) & (j <= _MAX_LEVEL) & (k >= 1)
-    return (j, k, values) if np.all(in_range & (k <= 1 << np.where(in_range, j, 0))) else None
+    if not np.all(in_range & (k <= 1 << np.where(in_range, j, 0))):
+        return None
+    return (1 << j) - 2 + k, values
+
+
+def _position(f: int) -> tuple[int, int]:
+    """The ``(j, k)`` at flat index ``f`` = 2^j - 2 + k."""
+    j = (f + 1).bit_length() - 1
+    return j, f + 2 - (1 << j)
 
 
 def divisors_from_lines(lines) -> VstState:
@@ -133,34 +144,39 @@ def divisors_from_lines(lines) -> VstState:
     with its line number; a missing index as ``missing divisor (j, k)``.
     """
     source = getattr(lines, "name", "divisor file")
-    stripped, rows = data_rows(lines)
-    basis_name = "haar"
-    for parts in [s[1:].split() for s in stripped if s[:1] == "#"]:
-        if len(parts) == 2 and parts[0] == "basis":
-            basis_name = parts[1]
-    if not rows:
+    basis_name, blocks, numbers = "haar", [], []
+    for start, block in line_blocks(lines):
+        columns, block_numbers = _divisor_columns(block), range(start, start + len(block))
+        if columns is None:
+            for parts in [s.strip()[1:].split() for s in block if s.lstrip()[:1] == "#"]:
+                if len(parts) == 2 and parts[0] == "basis":
+                    basis_name = parts[1]
+            rows, block_numbers = data_rows(block, start)
+            if not rows:
+                continue
+            columns = _divisor_columns(rows)
+            if columns is None:
+                row, exc = first_rejected(rows, _divisor_row)
+                raise ValueError(f"{source}:{block_numbers[row]}: cannot read {rows[row]!r} "
+                                 f"as a divisor: {exc}")
+        blocks.append(columns)
+        numbers.append(block_numbers)
+    if not blocks:
         raise ValueError("empty divisor file")
-    columns = _divisor_columns(rows)
-    if columns is None:
-        row, exc = first_rejected(rows, _divisor_row)
-        raise ValueError(f"{source}:{row_line(stripped, row)}: cannot read {rows[row]!r} "
-                         f"as a divisor: {exc}")
-    j, k, values = columns
-    flat = (1 << j) - 2 + k
+    flat, values = map(np.concatenate, zip(*blocks))
     order = np.argsort(flat, kind="stable")
-    ranked = flat[order]
+    ranked, values = flat[order], values[order]
     repeats = np.flatnonzero(ranked[1:] == ranked[:-1])
     if repeats.size:
         row = int(order[repeats + 1].min())
-        raise ValueError(f"{source}:{row_line(stripped, row)}: duplicate divisor "
-                         f"({j[row]}, {k[row]})")
-    n_levels = int(j.max()) + 1
+        line = next(islice(chain.from_iterable(numbers), row, None))
+        raise ValueError(f"{source}:{line}: duplicate divisor {_position(int(flat[row]))}")
+    n_levels = _position(int(ranked[-1]))[0] + 1
     if ranked.size < (1 << n_levels) - 1:
         # Entries are distinct and in range, so the first flat index that
         # differs from its rank is the first one missing.
         gaps = np.flatnonzero(ranked != np.arange(ranked.size))
-        f = int(gaps[0]) if gaps.size else ranked.size
-        level = (f + 1).bit_length() - 1
-        raise ValueError(f"missing divisor ({level}, {f + 2 - (1 << level)})")
-    divisors = np.split(values[order], (1 << np.arange(1, n_levels)) - 1)
+        first = int(gaps[0]) if gaps.size else ranked.size
+        raise ValueError(f"missing divisor {_position(first)}")
+    divisors = np.split(values, (1 << np.arange(1, n_levels)) - 1)
     return VstState(divisors, basis_by_name(basis_name))

@@ -1,7 +1,9 @@
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,8 +11,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fiszkit import EstimatorConfig, estimate, make_blocks
+from fiszkit import (EstimatorConfig, NoiseModel, SeedSpec, estimate, make_blocks, make_bumps,
+                     sample_noise, textio)
 from fiszkit.cli import main, read_series, write_series
+from fiszkit.vst import divisors_from_lines
 
 
 def run_cli(args):
@@ -45,6 +49,9 @@ def outcome(read, path):
 HEADER_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"),
                       max_size=12)
 FILLER = st.sampled_from(["", "   ", "\t", "#", "# c", "  # indented comment", "#1.5"])
+# Blocks this short put comments, blank lines and bad rows on, before and
+# after a block edge; the last entry is the default block size.
+BLOCK_EDGES = (1, 2, 3, 7, textio.BLOCK_ROWS)
 
 
 class TestSeriesCodec:
@@ -58,21 +65,57 @@ class TestSeriesCodec:
     def test_write_then_read_is_bit_exact(self, tmp_path_factory, values, header, filler, crlf):
         path = tmp_path_factory.mktemp("series") / "x.txt"
         write_series(path, values, header)
-        lines = path.read_text(encoding="utf-8").split("\n")
-        for at, text in filler:
-            lines.insert(min(at, len(lines)), text)
-        path.write_bytes(("\r\n" if crlf else "\n").join(lines).encode("utf-8"))
-        assert read_series(path).tobytes() == values.tobytes()
+        text = path.read_text(encoding="utf-8")
+        lines = text.split("\n")
+        for at, filler_line in filler:
+            lines.insert(min(at, len(lines)), filler_line)
+        noisy = path.with_name("noisy.txt")
+        noisy.write_bytes(("\r\n" if crlf else "\n").join(lines).encode("utf-8"))
+        for block_rows in BLOCK_EDGES:
+            with mock.patch.object(textio, "BLOCK_ROWS", block_rows):
+                write_series(path, values, header)
+                assert path.read_text(encoding="utf-8") == text, block_rows
+                assert read_series(noisy).tobytes() == values.tobytes(), block_rows
 
     @given(st.lists(st.one_of(
         st.floats().map(repr),
         st.sampled_from(["1_0", "１２", " 2.5 ", "", "# c", "1.5 # c", "1 2", "abc",
-                         "-0", "1e400", "\u30002\u3000", "1__0"])), max_size=12),
+                         "-0", "1e400", "\u30002\u3000", "1__0", "\x1c2\x1f"])), max_size=12),
         st.booleans())
     def test_accepts_and_rejects_what_the_line_loop_does(self, tmp_path_factory, lines, crlf):
         path = tmp_path_factory.mktemp("series") / "x.txt"
         path.write_bytes(("\r\n" if crlf else "\n").join(lines).encode("utf-8"))
-        assert outcome(read_series, path) == outcome(read_series_oracle, path)
+        want = outcome(read_series_oracle, path)
+        for block_rows in BLOCK_EDGES:
+            with mock.patch.object(textio, "BLOCK_ROWS", block_rows):
+                assert outcome(read_series, path) == want, block_rows
+
+    def test_memory_is_a_few_arrays_of_n_doubles(self, tmp_path):
+        # At n = 2^16 the whole-file codec peaked at 11.5 (read), 4.8 (write)
+        # and 22.8 (divisor read) arrays of n doubles; the block codec at
+        # 3.3, 1.1 and 8.9, mostly one block's strings.
+        n = 1 << 16
+        x = sample_noise(make_bumps(n, 3.0, 23.21), NoiseModel("exponential"), SeedSpec(103, 1))
+        series, divisors = tmp_path / "x.txt", tmp_path / "div.txt"
+        write_series(series, x, ["a header"])
+        assert run_cli(["vst", "forward", "--in", series, "--out", tmp_path / "xt.txt",
+                        "--divisors", divisors]) == 0
+
+        def read_divisors():
+            with open(divisors, encoding="utf-8") as f:
+                divisors_from_lines(f)
+
+        routes = {"read_series": (lambda: read_series(series), 5.0),
+                  "write_series": (lambda: write_series(tmp_path / "y.txt", x, ["h"]), 1.75),
+                  "divisors_from_lines": (read_divisors, 13.5)}
+        for name, (route, bound) in routes.items():
+            tracemalloc.start()
+            try:
+                route()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound * 8 * n, (name, peak / (8 * n))
 
 
 @pytest.fixture

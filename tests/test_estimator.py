@@ -6,7 +6,7 @@ from math import log, sqrt
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -592,3 +592,30 @@ class TestBaseline:
         a = baseline_mad_estimate(x, cfg)
         b = baseline_mad_estimate(x, cfg)
         np.testing.assert_array_equal(a, b)
+
+
+class TestScaling:
+    """Metamorphic relation: a power-of-two scale passes through every step exactly.
+
+    The fit, the kernel, PAVA, the floor, the lookup, the square root and
+    the engine each commute with x -> 2^k x as long as nothing becomes
+    subnormal or overflows, so the output scales bit for bit.
+    """
+
+    @settings(max_examples=50)
+    @given(st.sampled_from([("blocks", "poisson"), ("bumps", "exponential")]),
+           st.integers(6, 12), st.integers(1, 3), st.sampled_from(["haar", "daub4", "daub8"]),
+           st.booleans())
+    @example(("bumps", "exponential"), 12, 1, "daub8", True)
+    @example(("blocks", "poisson"), 12, 2, "haar", False)
+    def test_power_of_two_scale_is_exact(self, family, log_n, rep, basis, ti):
+        signal, noise = family
+        truth = (make_blocks(1 << log_n, 1.0, 22.6) if signal == "blocks"
+                 else make_bumps(1 << log_n, 3.0, 23.21))
+        x = sample_noise(truth, NoiseModel(noise), SeedSpec(68, rep))
+        cfg = EstimatorConfig(basis=basis_by_name(basis), translation_invariant=ti)
+        fitted, mad = estimate(x, cfg).values, baseline_mad_estimate(x, cfg)
+        for k in (-40, -3, 5, 60):
+            scale = 2.0 ** k
+            assert estimate(scale * x, cfg).values.tobytes() == (scale * fitted).tobytes(), k
+            assert baseline_mad_estimate(scale * x, cfg).tobytes() == (scale * mad).tobytes(), k

@@ -1,4 +1,5 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,10 +9,11 @@ from hypothesis import strategies as st
 from fiszkit import (CoeffPyramid, EstimatorConfig, NoiseModel, SeedSpec, VarianceEstimate,
                      VstState, apply_threshold, denoise_via_vst, dwt_forward, dwt_inverse,
                      estimate, estimate_variance_function, forward_vst, haar, inverse_vst,
-                     local_means, make_blocks, sample_noise, universal_factor)
+                     local_means, make_blocks, sample_noise, textio, universal_factor)
 from fiszkit.estimator import coefficient_sd
-from fiszkit.vst import divisors_as_lines, divisors_from_lines
+from fiszkit.vst import _divisor_row, divisors_as_lines, divisors_from_lines
 from fiszkit.wavelet import basis_by_name
+from test_cli import BLOCK_EDGES
 from test_wavelet import transform_matrix
 
 
@@ -220,7 +222,7 @@ class TestSerialization:
         rng = np.random.default_rng(77)
         divisors = [rng.uniform(0.5, 2.0, size=1 << j) for j in range(4)]
         state = VstState([d.copy() for d in divisors], haar())
-        back = divisors_from_lines(divisors_as_lines(state))
+        back = divisors_from_lines("".join(divisors_as_lines(state)).splitlines())
         assert back.basis.name == "haar"
         for a, b in zip(back.divisors, divisors):
             np.testing.assert_array_equal(a, b)
@@ -242,6 +244,8 @@ class TestSerialization:
         ("1.0 1 2", "invalid literal for int"),
         ("1 1 x", "could not convert"),
         ("1 1 2.0 # c", "expected 3 fields"),
+        ("1 ; 1.0", "invalid literal for int"),
+        ("1 1 ;", "could not convert"),
     ])
     def test_bad_row_is_rejected_with_its_line(self, bad, reason):
         lines = ["# basis haar", "0 1 1.0", "", "1 1 1.0", bad, "1 2 1.0"]
@@ -256,10 +260,10 @@ class TestSerialization:
 
 
 def divisors_oracle(lines):
-    """The dict-based parser the array parser replaces; valid files only."""
-    entries = {}
-    basis_name = "haar"
-    for line in lines:
+    """The per-line, dict-based parser the array parser replaces, with its messages."""
+    source = getattr(lines, "name", "divisor file")
+    basis_name, rows = "haar", []
+    for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
@@ -268,11 +272,53 @@ def divisors_oracle(lines):
             if len(parts) == 2 and parts[0] == "basis":
                 basis_name = parts[1]
             continue
+        try:
+            _divisor_row(line)
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"{source}:{lineno}: cannot read {line!r} as a divisor: "
+                             f"{exc}") from None
+        rows.append((lineno, line))
+    if not rows:
+        raise ValueError("empty divisor file")
+    entries = {}
+    for lineno, line in rows:
         j_s, k_s, v_s = line.split()
-        entries[(int(j_s), int(k_s))] = float(v_s)
+        key = (int(j_s), int(k_s))
+        if key in entries:
+            raise ValueError(f"{source}:{lineno}: duplicate divisor ({key[0]}, {key[1]})")
+        entries[key] = float(v_s)
     n_levels = 1 + max(j for j, _ in entries)
+    for j in range(n_levels):
+        for k in range(1, (1 << j) + 1):
+            if (j, k) not in entries:
+                raise ValueError(f"missing divisor ({j}, {k})")
     divisors = [np.array([entries[(j, k + 1)] for k in range(1 << j)]) for j in range(n_levels)]
     return VstState(divisors, basis_by_name(basis_name))
+
+
+def read_divisor_file(read, path):
+    """Basis and divisor bytes that ``read`` gives for the file at ``path``, or its message."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            state = read(f)
+        except ValueError as exc:
+            return str(exc)
+    return state.basis.name, [d.tobytes() for d in state.divisors]
+
+
+def assert_blocks_read_like_oracle(path):
+    """The reader, at every size in ``BLOCK_EDGES``, gives what the oracle gives."""
+    want = read_divisor_file(divisors_oracle, path)
+    for block_rows in BLOCK_EDGES:
+        with mock.patch.object(textio, "BLOCK_ROWS", block_rows):
+            assert read_divisor_file(divisors_from_lines, path) == want, block_rows
+    return want
+
+
+def write_file(tmp_path_factory, lines, crlf):
+    path = tmp_path_factory.mktemp("divisors") / "div.txt"
+    path.write_bytes(("\r\n" if crlf else "\n").join(lines).encode("utf-8"))
+    return path
 
 
 POSITIVE = st.floats(min_value=5e-324, max_value=1.7e308)
@@ -298,18 +344,49 @@ def valid_divisor_files(draw):
     return lines
 
 
+BAD_ROWS = ["0 5 9.0", "-1 1 3.0", "63 1 3.0", "1 2", "1 2 3.0 4", "1.0 1 2", "1 1 x",
+            "1 1 2.0 # c", "1 ; 1.0", "; 1 1.0", "1 1 ;", "1 1 -3.0"]
+
+
+@st.composite
+def faulty_divisor_files(draw):
+    """A valid file with one bad row, duplicate, missing row or field moved across rows."""
+    lines = draw(valid_divisor_files())
+    data = [i for i, s in enumerate(lines) if s.strip() and s.strip()[0] != "#"]
+    fault = draw(st.sampled_from(["bad", "duplicate", "missing", "moved"]))
+    if fault == "duplicate":
+        lines.insert(draw(st.integers(0, len(lines))), lines[draw(st.sampled_from(data))])
+    elif fault == "missing":
+        del lines[draw(st.sampled_from(data))]
+    elif fault == "moved" and len(data) > 1:
+        # "j k" then "value j k value": as many fields as two rows, misaligned
+        at = draw(st.integers(0, len(data) - 2))
+        fields = lines[data[at]].split()
+        lines[data[at]] = " ".join(fields[:2])
+        lines[data[at + 1]] = fields[2] + " " + lines[data[at + 1]]
+    else:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(BAD_ROWS)))
+    return lines
+
+
 class TestDivisorCodec:
     @given(st.integers(1, 9), BASES, st.data())
-    def test_round_trip_is_bit_exact(self, n_levels, basis, data):
+    def test_round_trip_is_bit_exact(self, tmp_path_factory, n_levels, basis, data):
         divisors = [np.array(data.draw(st.lists(POSITIVE, min_size=1 << j, max_size=1 << j)))
                     for j in range(n_levels)]
-        back = divisors_from_lines(divisors_as_lines(VstState(list(divisors),
-                                                               basis_by_name(basis))))
+        path = tmp_path_factory.mktemp("divisors") / "div.txt"
+        path.write_text("".join(divisors_as_lines(VstState(list(divisors), basis_by_name(basis)))),
+                        encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            back = divisors_from_lines(f)
         assert back.basis.name == basis
         assert [d.tobytes() for d in back.divisors] == [d.tobytes() for d in divisors]
 
-    @given(valid_divisor_files())
-    def test_matches_dict_parser_on_valid_files(self, lines):
-        got, want = divisors_from_lines(lines), divisors_oracle(lines)
-        assert got.basis.name == want.basis.name
-        assert [d.tobytes() for d in got.divisors] == [d.tobytes() for d in want.divisors]
+    @given(valid_divisor_files(), st.booleans())
+    def test_matches_dict_parser_on_valid_files(self, tmp_path_factory, lines, crlf):
+        want = assert_blocks_read_like_oracle(write_file(tmp_path_factory, lines, crlf))
+        assert not isinstance(want, str), want
+
+    @given(faulty_divisor_files(), st.booleans())
+    def test_names_the_faults_the_line_loop_names(self, tmp_path_factory, lines, crlf):
+        assert_blocks_read_like_oracle(write_file(tmp_path_factory, lines, crlf))
