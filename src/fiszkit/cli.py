@@ -2,6 +2,7 @@
 
 File conventions (see ``fiszkit.textio``): one decimal value per line, '.'
 decimal separator, LF endings (CRLF is read too), whole-line '#' comments.
+A UTF-8 byte-order mark at the start of a file is skipped.
 Exit codes: 0 success, 2 usage error, 3 data error. ``FISZKIT_THREADS``
 caps how many worker processes the benchmark may use; results are
 independent of that setting.
@@ -46,7 +47,7 @@ def read_series(path) -> np.ndarray:
     whole-line ``#`` comments are skipped; every other line must be one
     number as Python's ``float`` reads it.
     """
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         blocks = [_series_block(path, start, block) for start, block in line_blocks(f)]
     if not sum(map(len, blocks)):
         raise ValueError(f"{path}: no data lines")
@@ -218,7 +219,7 @@ def cmd_vst_forward(args, cfg: VarFnConfig) -> int:
 
 def cmd_vst_inverse(args, _cfg: None) -> int:
     y = read_series(args.input)
-    with open(args.divisors, encoding="utf-8") as f:
+    with open(args.divisors, encoding="utf-8-sig") as f:
         state = divisors_from_lines(f)
     write_series(args.out, inverse_vst(y, state))
     return 0
@@ -374,8 +375,8 @@ def main(argv=None) -> int:
         parser.error(str(exc))
     try:
         return args.func(args, cfg)
-    except (OSError, ValueError) as exc:
-        print(f"fiszkit: error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, MemoryError) as exc:
+        print(f"fiszkit: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
 
 

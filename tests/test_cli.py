@@ -1,3 +1,4 @@
+import codecs
 import subprocess
 import sys
 import tracemalloc
@@ -116,6 +117,13 @@ class TestSeriesCodec:
             finally:
                 tracemalloc.stop()
             assert peak <= bound * 8 * n, (name, peak / (8 * n))
+
+    @pytest.mark.parametrize("text", ["1.5\n-2.25\n", "# header\n1.5\n-2.25\n"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, text):
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+        assert read_series(marked).tobytes() == read_series(plain).tobytes()
 
 
 @pytest.fixture
@@ -383,6 +391,25 @@ def test_constant_data_near_float_max_has_finite_bandwidth(tmp_path):
     assert out.read_text().splitlines()[1] == f"# bandwidth {0.2 * (1.5e308 + 1.0):.17g}"
 
 
+@pytest.mark.parametrize("error, message", [
+    (MemoryError("Unable to allocate 745. GiB for an array with shape (100000000000,) "
+                  "and data type float64"),
+     "Unable to allocate 745. GiB for an array with shape (100000000000,) "
+     "and data type float64"),
+    (MemoryError(), "MemoryError"),
+])
+def test_out_of_memory_is_data_error(error, message, poisson_file, tmp_path, capsys):
+    # stands in for the allocation of a huge --grid, which a test must not make
+    def fit(*_args):
+        raise error
+
+    with mock.patch("fiszkit.cli.estimate_variance_function", fit):
+        assert run_cli(["varfn", "--in", poisson_file, "--out", tmp_path / "v.txt",
+                        "--grid", 100000000000]) == 3
+    assert capsys.readouterr().err == f"fiszkit: error: {message}\n"
+    assert not (tmp_path / "v.txt").exists()
+
+
 class TestVarfn:
     def test_step_function_round_trips(self, poisson_file, tmp_path):
         out = tmp_path / "h.txt"
@@ -429,6 +456,16 @@ class TestVst:
         write_series(tmp_path / "tiny.txt", make_blocks(256, 1.0, 22.6) * 1e-160)
         assert run_cli(["vst", "forward", "--in", tmp_path / "tiny.txt",
                         "--out", tmp_path / "xt.txt", "--divisors", tmp_path / "div.txt"]) == 0
+
+    def test_inverse_skips_byte_order_mark_of_divisor_file(self, poisson_file, tmp_path):
+        div, marked = tmp_path / "div.txt", tmp_path / "marked.txt"
+        assert run_cli(["vst", "forward", "--in", poisson_file, "--out", tmp_path / "xt.txt",
+                        "--divisors", div]) == 0
+        marked.write_bytes(codecs.BOM_UTF8 + div.read_bytes())
+        for name, divisors in (("back.txt", div), ("back_marked.txt", marked)):
+            assert run_cli(["vst", "inverse", "--in", tmp_path / "xt.txt",
+                            "--out", tmp_path / name, "--divisors", divisors]) == 0
+        assert (tmp_path / "back_marked.txt").read_bytes() == (tmp_path / "back.txt").read_bytes()
 
     def test_inverse_with_bad_divisor_file_is_data_error(self, poisson_file, tmp_path, capsys):
         div = tmp_path / "div.txt"

@@ -68,6 +68,96 @@ def pava_scalar_oracle(values, weights):
     return out
 
 
+def pava_reduce_oracle(values, weights=None):
+    """The scan on three lists, with one ``np.add.reduce`` pair per block."""
+    values = np.asarray(values, dtype=float)
+    weights = np.ones_like(values) if weights is None else np.asarray(weights, dtype=float)
+    ends, wsum, wvsum = [], [], []
+    for i, (v, w) in enumerate(zip(values.tolist(), weights.tolist())):
+        ends.append(i + 1)
+        wsum.append(w)
+        wvsum.append(w * v)
+        while len(ends) > 1 and wvsum[-2] * wsum[-1] > wvsum[-1] * wsum[-2]:
+            ends[-2] = ends[-1]
+            wsum[-2] += wsum[-1]
+            wvsum[-2] += wvsum[-1]
+            ends.pop(), wsum.pop(), wvsum.pop()
+    wv = weights * values
+    out = np.empty_like(values)
+    start = 0
+    for end in ends:
+        out[start:end] = np.add.reduce(wv[start:end]) / np.add.reduce(weights[start:end])
+        start = end
+    return out
+
+
+def kernel_where_oracle(v):
+    """The triangle as one ``np.where`` over |v|."""
+    v = np.abs(np.asarray(v, dtype=float))
+    return np.where(v <= 0.5, 2.0 - 4.0 * v, 0.0)
+
+
+def nw_formula_oracle(fit, bandwidth, grid_u):
+    """The blocked gather with the ``np.where`` kernel and an out-of-place argument."""
+    order = np.argsort(fit.alpha_hat, kind="stable")
+    alpha, resid_sq = fit.alpha_hat[order], fit.residuals_sq[order]
+    reach = 0.5 * bandwidth * (1.0 + 16 * np.finfo(float).eps) + 4 * np.spacing(np.abs(grid_u))
+    lo = np.searchsorted(alpha, grid_u - reach, side="left")
+    hi = np.searchsorted(alpha, grid_u + reach, side="right")
+    counts = hi - lo
+    ends = np.cumsum(counts)
+    block = max(alpha.size, 1 << 12)
+    mass = np.zeros(grid_u.size)
+    num = np.zeros(grid_u.size)
+    g0 = 0
+    while g0 < grid_u.size:
+        g1 = max(int(np.searchsorted(ends, ends[g0] - counts[g0] + block, side="right")), g0 + 1)
+        full = g0 + np.flatnonzero(counts[g0:g1])
+        size = counts[full]
+        starts = np.cumsum(size) - size
+        idx = np.arange(size.sum()) + np.repeat(lo[full] - starts, size)
+        w = kernel_where_oracle((alpha[idx] - np.repeat(grid_u[full], size)) / bandwidth)
+        mass[full] = np.add.reduceat(w, starts)
+        num[full] = np.add.reduceat(w * resid_sq[idx], starts)
+        g0 = g1
+    populated = mass > 0
+    raw = np.zeros(mass.size)
+    raw[populated] = num[populated] / mass[populated]
+    return raw, populated
+
+
+def query_oracle(est, u):
+    """``values[searchsorted(grid_u[1:], u, side="right")]``, NaN where u is NaN."""
+    u = np.asarray(u, dtype=float)
+    out = est.values[np.searchsorted(est.grid_u[1:], u, side="right")]
+    return np.where(np.isnan(u), np.nan, out)
+
+
+@st.composite
+def pooled_blocks(draw):
+    """Values whose PAVA blocks have 1-7, 8-128 or over 128 values, with or without weights.
+
+    A falling segment pools into one block of its length (or a longer one,
+    if a later segment lies below it); a segment of signed zeros stays in
+    blocks of one; a noisy segment pools at random. Empty input is included.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    segments = []
+    for length in draw(st.lists(st.integers(1, 7) | st.integers(8, 128) | st.integers(129, 300),
+                                max_size=5)):
+        level = draw(st.floats(-50.0, 50.0))
+        kind = draw(st.sampled_from(["falling", "zeros", "noise"]))
+        if kind == "falling":
+            segments.append(level - np.cumsum(rng.uniform(0.01, 1.0, length)))
+        elif kind == "zeros":
+            segments.append(rng.choice([-0.0, 0.0], length))
+        else:
+            segments.append(rng.normal(level, 5.0, length))
+    values = np.concatenate([np.zeros(0)] + segments)
+    weights = 10.0 ** rng.uniform(-2.0, 2.0, values.size) if draw(st.booleans()) else None
+    return values, weights
+
+
 @st.composite
 def random_cases(draw):
     """Fitted values, squared residuals, bandwidth and grid drawn independently."""
@@ -181,6 +271,16 @@ class TestKernelSmoother:
         trapezoid = np.sum((y[1:] + y[:-1]) * np.diff(v)) / 2  # np.trapezoid needs numpy 2
         assert trapezoid == pytest.approx(1.0, abs=1e-6)
 
+    @given(arrays(float, st.integers(0, 40),
+                  elements=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)))
+    @example(np.array([0.0, -0.0, 0.5, -0.5, np.nextafter(0.5, 1.0), np.nextafter(0.5, 0.0),
+                       np.inf, -np.inf, np.nan, 5e-324, 1.5e308]))
+    def test_kernel_bit_identical_to_where_form(self, v):
+        with np.errstate(over="ignore"):  # both forms overflow 4|v| beyond 4.5e307
+            assert triangular_kernel(v).tobytes() == kernel_where_oracle(v).tobytes()
+            for x in v[:3].tolist():
+                assert np.asarray(triangular_kernel(x)).tobytes() == kernel_where_oracle(x).tobytes()
+
     def test_constant_residuals(self):
         fit = preliminary_fit(np.full(32, 2.0) + np.tile([0.5, -0.5], 16), 1)
         fit.residuals_sq[:] = 3.0
@@ -269,6 +369,18 @@ class TestKernelSmoother:
         np.testing.assert_array_equal(populated, want_populated)
         np.testing.assert_allclose(got[populated], want[populated], rtol=1e-14, atol=0)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(multi_block_cases(), random_cases(), window_edge_cases(), gapped_cases()))
+    def test_bit_identical_to_formula_oracle(self, case):
+        alpha, resid, b, grid = case
+        fit = PreliminaryFit(alpha, resid)
+        want, want_populated = nw_formula_oracle(fit, b, grid)
+        if not want_populated.any():
+            return  # rejected before the fill; test_matches_window_loop covers it
+        got, populated = nw_variance_raw(fit, b, grid)
+        assert populated.tobytes() == want_populated.tobytes()
+        assert got[populated].tobytes() == want[populated].tobytes()
+
     def test_leaves_the_fit_unsorted(self):
         fit = PreliminaryFit(np.array([3.0, 1.0, 2.0, 1.0]), np.array([4.0, 1.0, 2.0, 3.0]))
         nw_variance_raw(fit, 1.5, np.linspace(1.0, 3.0, 5))
@@ -318,6 +430,15 @@ class TestPava:
             got = pava_isotone(v, w)
         np.testing.assert_array_equal(got, pava_scalar_oracle(v, w))
 
+    @settings(max_examples=150, deadline=None)
+    @given(pooled_blocks())
+    @example((np.array([]), None))
+    @example((np.array([-0.0]), None))
+    @example((np.array([-0.0, 1.0, -0.0]), np.array([2.0, 1.0, 3.0])))
+    def test_bit_identical_to_reduce_per_block(self, case):
+        values, weights = case
+        assert pava_isotone(values, weights).tobytes() == pava_reduce_oracle(values, weights).tobytes()
+
     def test_idempotent(self):
         rng = np.random.default_rng(34)
         v = rng.normal(size=40)
@@ -341,6 +462,12 @@ class TestPava:
             pava_isotone(np.ones(3), np.ones(4))
         with pytest.raises(ValueError):
             pava_isotone(np.ones(3), np.array([1.0, 0.0, 1.0]))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="weights must be finite and strictly positive"):
+                pava_isotone(np.ones(3), np.array([1.0, bad, 1.0]))
+            with pytest.raises(ValueError, match="values must be finite"):
+                pava_isotone(np.array([1.0, bad, 1.0]))
+        assert pava_isotone(np.array([])).tobytes() == b""
 
 
 class TestDefaultBandwidth:
@@ -424,6 +551,24 @@ class TestEstimatePipeline:
         np.testing.assert_array_equal(est.query(u), expected)
         for v, e in zip(u[:, 0].tolist(), expected[:, 0].tolist()):
             assert est.query(v) == e
+
+    @settings(max_examples=150)
+    @given(st.one_of(
+        arrays(float, st.integers(1, 8), elements=st.floats(-5.0, 5.0)).map(np.sort),
+        st.tuples(st.integers(2, 300), st.floats(-8.0, 3.0), st.floats(-1e9, 1e9)).map(
+            lambda a: np.linspace(a[2], a[2] + 10.0 ** a[1], a[0]))),
+        st.integers(0, 2**32 - 1), st.sampled_from([(), (0,), (7,), (3, 5)]))
+    def test_query_bit_identical_to_searchsorted(self, grid, seed, shape):
+        est = VarianceEstimate(grid, np.arange(grid.size) + 0.5, 1e-9)
+        rng = np.random.default_rng(seed)
+        pool = np.concatenate([grid, np.nextafter(grid, np.inf), np.nextafter(grid, -np.inf),
+                               [np.nan, np.inf, -np.inf, grid[0] - 1.0, grid[-1] + 1.0]])
+        u = rng.choice(pool, size=shape)
+        got = est.query(u)
+        assert got.shape == shape
+        assert got.tobytes() == query_oracle(est, u).tobytes()
+        for v in pool.tolist():
+            assert np.float64(est.query(v)).tobytes() == query_oracle(est, v).tobytes()
 
     def test_query_on_zero_span_grid(self):
         # constant data gives a grid of equal knots: the top value from the knot up
