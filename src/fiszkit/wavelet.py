@@ -217,8 +217,10 @@ def shifted_local_means(x, basis: WaveletBasis | None = None):
     Row s of ``means(j, count)`` equals ``local_means(np.roll(x, s))[j]``:
     coefficient (j, k) of the shift-s signal averages ``x`` over the cyclic
     window of level j's support length that starts at sample
-    (k - 1) 2^(J-j) - s. The cumulative sum is built once, so each call
-    costs only the positions asked for.
+    (k - 1) 2^(J-j) - s, and ``count`` must lie in [1, p], p = 2^(J-j). The
+    doubled prefix sum is built once. The starts p k - s, 1 <= k <= 2^j, never
+    wrap, so each call reads them as one reshaped slice with rows reversed: no
+    index array and no gather (start p 2^j - s is start -s for s >= 1).
     """
     x = as_signal(x)
     n = x.size
@@ -232,8 +234,16 @@ def shifted_local_means(x, basis: WaveletBasis | None = None):
         raise ValueError("local means overflow at this data scale")
 
     def means(j: int, count: int) -> np.ndarray:
-        s = ((n >> j) * np.arange(1 << j) - np.arange(count)[:, None]) % n
-        return (csum[s + lengths[j]] - csum[s]) / lengths[j]
+        p, width = n >> j, lengths[j]
+        if not 1 <= count <= p:
+            raise ValueError(f"level {j} has {p} distinct shifts, got count {count}")
+        # [s, k - 1] holds the partial sum at p k - s (or p k - s + width), k = 1 .. 2^j
+        lo, hi = (csum[a:a + n].reshape(-1, p)[:, ::-1][:, :count].T for a in (1, 1 + width))
+        out = np.empty((count, 1 << j))
+        np.subtract(hi[:, :-1], lo[:, :-1], out=out[:, 1:])
+        np.subtract(hi[:, -1], lo[:, -1], out=out[:, 0])
+        out[0, 0] = csum[width] - csum[0]
+        return np.divide(out, width, out=out)
     return means
 
 

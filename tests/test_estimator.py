@@ -619,3 +619,26 @@ class TestScaling:
             scale = 2.0 ** k
             assert estimate(scale * x, cfg).values.tobytes() == (scale * fitted).tobytes(), k
             assert baseline_mad_estimate(scale * x, cfg).tobytes() == (scale * mad).tobytes(), k
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(3, 10), st.integers(-40, 60), st.sampled_from(BASIS_NAMES),
+           st.sampled_from([1, 3, 16]), st.booleans(), st.sampled_from(["hard", "soft"]),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    @example(10, 60, "daub8", 1, True, "hard", False, 1)
+    @example(3, -40, "haar", 3, True, "soft", True, 2)
+    def test_power_of_two_scale_is_exact_in_every_setting(self, log_n, k, basis, stride, ti,
+                                                          rule, known, seed):
+        n = 1 << log_n
+        rng = np.random.default_rng(seed)
+        x = rng.exponential(size=n) * np.repeat(rng.uniform(1.0, 20.0, size=4), n // 4)
+        cfg = EstimatorConfig(basis=basis_by_name(basis), shift_stride=stride,
+                              translation_invariant=ti, rule=rule,
+                              known_variance=H_SQUARE if known else None)
+        scale = 2.0 ** k
+        plain, scaled = estimate(x, cfg), estimate(scale * x, cfg)
+        assert scaled.values.tobytes() == (scale * plain.values).tobytes()
+        assert len(scaled.thresholds) == len(plain.thresholds)
+        for got, want in zip(scaled.thresholds, plain.thresholds):
+            assert got.tobytes() == (scale * want).tobytes()
+        mad = baseline_mad_estimate(x, cfg)
+        assert baseline_mad_estimate(scale * x, cfg).tobytes() == (scale * mad).tobytes()

@@ -11,7 +11,7 @@ from fiszkit import (NoiseModel, SeedSpec, VarFnConfig, VarianceEstimate,
                      default_bandwidth, estimate_variance_function, make_blocks,
                      make_bumps, nw_variance_raw, pava_isotone, preliminary_fit, running_mean,
                      sample_noise, triangular_kernel)
-from fiszkit.varfn import PreliminaryFit
+from fiszkit.varfn import PreliminaryFit, _stable_order
 
 
 def nw_oracle(alpha_hat, resid_sq, b, grid):
@@ -276,10 +276,22 @@ class TestKernelSmoother:
     @example(np.array([0.0, -0.0, 0.5, -0.5, np.nextafter(0.5, 1.0), np.nextafter(0.5, 0.0),
                        np.inf, -np.inf, np.nan, 5e-324, 1.5e308]))
     def test_kernel_bit_identical_to_where_form(self, v):
-        with np.errstate(over="ignore"):  # both forms overflow 4|v| beyond 4.5e307
-            assert triangular_kernel(v).tobytes() == kernel_where_oracle(v).tobytes()
-            for x in v[:3].tolist():
-                assert np.asarray(triangular_kernel(x)).tobytes() == kernel_where_oracle(x).tobytes()
+        for arg in [v] + v[:3].tolist():
+            got = np.asarray(triangular_kernel(arg))
+            with np.errstate(over="ignore"):  # the where form overflows 4|v| beyond 4.5e307
+                want = kernel_where_oracle(arg)
+            assert got.tobytes() == want.tobytes()
+
+    @given(arrays(float, st.integers(0, 300),
+                  elements=st.sampled_from([0.0, -0.0, 1.0, -2.5, 3.0, 1e300, -np.inf, np.inf])
+                  | st.floats(allow_nan=False)))
+    @example(np.full(50, 7.0))
+    @example(np.arange(200.0))
+    @example(np.arange(200.0)[::-1].copy())
+    @example(np.array([4.0]))
+    @example(np.tile([0.0, -0.0], 40))
+    def test_stable_order_is_numpys_stable_argsort(self, a):
+        assert _stable_order(a).tobytes() == np.argsort(a, kind="stable").tobytes()
 
     def test_constant_residuals(self):
         fit = preliminary_fit(np.full(32, 2.0) + np.tile([0.5, -0.5], 16), 1)
@@ -467,6 +479,11 @@ class TestPava:
                 pava_isotone(np.ones(3), np.array([1.0, bad, 1.0]))
             with pytest.raises(ValueError, match="values must be finite"):
                 pava_isotone(np.array([1.0, bad, 1.0]))
+        # finite data whose weighted values, or whose pooled sum, overflow
+        with pytest.raises(ValueError, match="weighted sums overflow"):
+            pava_isotone(np.array([1e200, 1.0]), np.array([1e200, 1.0]))
+        with pytest.raises(ValueError, match="weighted sums overflow"):
+            pava_isotone(np.array([1.7e308, 1.0e308]))
         assert pava_isotone(np.array([])).tobytes() == b""
 
 

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 from fiszkit import (CoeffPyramid, dwt_forward, dwt_inverse, haar, local_means, make_blocks,
                      wavelet_vector)
 from fiszkit.wavelet import (BASIS_NAMES, WaveletBasis, _analysis_step, _support_lengths,
-                             _synthesis_step, basis_by_name)
+                             _synthesis_step, basis_by_name, shifted_local_means)
 
 ALL_BASES = [basis_by_name(name) for name in BASIS_NAMES]
 
@@ -256,6 +256,49 @@ class TestLocalMeans:
             supports = [min_cyclic_support(wavelet_vector(basis, n, j, 1))
                         for j in range(n.bit_length() - 1)]
             assert supports == [(0, length) for length in _support_lengths(basis, n)], n
+
+
+def gather_means_oracle(x, basis):
+    """``shifted_local_means`` as a gather: every window start (p k - s) mod n as an index."""
+    n = x.size
+    lengths = _support_lengths(basis, n)
+    csum = np.concatenate([[0.0], np.cumsum(np.concatenate([x, x]))])
+
+    def means(j, count):
+        s = ((n >> j) * np.arange(1 << j) - np.arange(count)[:, None]) % n
+        return (csum[s + lengths[j]] - csum[s]) / lengths[j]
+    return means
+
+
+class TestShiftedLocalMeans:
+    @pytest.mark.parametrize("basis", ALL_BASES, ids=lambda b: b.name)
+    def test_slices_match_gather_oracle(self, basis):
+        rng = np.random.default_rng(12)
+        for J in range(1, 13):
+            n = 1 << J
+            x = rng.normal(size=n) * 10.0 ** rng.uniform(-5, 5, size=n)
+            means, oracle = shifted_local_means(x, basis), gather_means_oracle(x, basis)
+            for j in range(J):
+                p = n >> j
+                for count in sorted({1, 2, p // 3, min(128, p), p} & set(range(1, p + 1))):
+                    got = means(j, count)
+                    assert got.flags.c_contiguous and got.shape == (count, 1 << j)
+                    assert got.tobytes() == oracle(j, count).tobytes(), (n, j, count)
+                for count in (0, p + 1):
+                    with pytest.raises(ValueError, match=f"level {j} has {p} distinct shifts"):
+                        means(j, count)
+
+    def test_rows_are_local_means_of_the_shifts(self):
+        rng = np.random.default_rng(13)
+        x = rng.uniform(1.0, 9.0, size=64)
+        for basis in ALL_BASES:
+            means = shifted_local_means(x, basis)
+            for j in range(6):
+                rows = means(j, 64 >> j)
+                for s in range(rows.shape[0]):
+                    assert rows[s].tobytes() == means(j, s + 1)[s].tobytes()
+                    np.testing.assert_allclose(rows[s], local_means(np.roll(x, s), basis)[j],
+                                               rtol=1e-12)
 
 
 class TestBasis:
