@@ -2,8 +2,8 @@
 
 File conventions (see ``fiszkit.textio``): one decimal value per line, '.'
 decimal separator, LF endings (CRLF is read too), whole-line '#' comments.
-A UTF-8 byte-order mark at the start of a file is skipped.
-Exit codes: 0 success, 2 usage error, 3 data error. ``FISZKIT_THREADS``
+A UTF-8 byte-order mark at the start of a file is skipped. Every file is
+written by ``write_lines``, from LF-ended lines or blocks of lines. Exit codes: 0 success, 2 usage error, 3 data error. ``FISZKIT_THREADS``
 caps how many worker processes the benchmark may use; results are
 independent of that setting.
 """
@@ -69,15 +69,12 @@ def _series_block(path, start: int, block: list[str]) -> np.ndarray:
 
 
 def write_series(path, values, header=()) -> None:
-    _write_text(path, chain([f"# {line}\n" for line in header],
+    write_lines(path, chain([f"# {line}\n" for line in header],
                             format_blocks("%.17g", np.asarray(values, dtype=float))))
 
 
-def write_lines(path, lines) -> None:
-    _write_text(path, ["\n".join([*lines, ""])])  # every line ends in LF
-
-
-def _write_text(path, texts) -> None:
+def write_lines(path, texts) -> None:
+    """Write LF-ended texts, single lines or blocks of them, as one UTF-8 file."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.writelines(texts)
 
@@ -186,15 +183,15 @@ def cmd_estimate(args, cfg: EstimatorConfig) -> int:
     res = estimate(x, cfg)
     write_series(args.out, res.values)
     if args.emit_plots:
-        _write_text(_sidecar(args.out, "thresholds"),
+        write_lines(_sidecar(args.out, "thresholds"),
                     level_blocks("%.17g %d", res.thresholds, res.survivors))
         if isinstance(res.variance_fn, VarianceEstimate):
             write_lines(_sidecar(args.out, "varfn"), res.variance_fn.as_lines())
         n = x.size
         grid = np.arange(1, n + 1) / n
-        _write_text(_sidecar(args.out, "plot_estimate"),
+        write_lines(_sidecar(args.out, "plot_estimate"),
                     format_blocks("%.17g %.17g", grid, res.values))
-        _write_text(_sidecar(args.out, "plot_input"), format_blocks("%.17g %.17g", grid, x))
+        write_lines(_sidecar(args.out, "plot_input"), format_blocks("%.17g %.17g", grid, x))
     return 0
 
 
@@ -203,7 +200,7 @@ def cmd_varfn(args, cfg: VarFnConfig) -> int:
     est = estimate_variance_function(x, cfg)
     write_lines(args.out, est.as_lines())
     if args.emit_plots:
-        _write_text(_sidecar(args.out, "sqrt"),
+        write_lines(_sidecar(args.out, "sqrt"),
                     format_blocks("%.17g %.17g", est.grid_u, np.sqrt(est.values)))
     return 0
 
@@ -213,7 +210,7 @@ def cmd_vst_forward(args, cfg: VarFnConfig) -> int:
     hhat = estimate_variance_function(x, cfg)
     xt, state = forward_vst(x, hhat, basis_by_name(args.basis))
     write_series(args.out, xt)
-    _write_text(args.divisors, divisors_as_lines(state))
+    write_lines(args.divisors, divisors_as_lines(state))
     return 0
 
 
@@ -242,15 +239,14 @@ class BenchReport:
         return float(np.mean(vals)), se
 
     def as_lines(self) -> list[str]:
-        lines = [f"# bench reps={self.reps} n={self.n} master_seed={self.master_seed}",
-                 "# per-point mean squared error against the true signal",
-                 "method " + " ".join(f"{s}_{m[:4]}" for s, m in BENCH_CELLS)]
-        for method in BENCH_METHODS:
-            means = [self.cell_stats(s, m, method)[0] for s, m in BENCH_CELLS]
-            lines.append(method + " " + " ".join(f"{v:.6f}" for v in means))
-        for method in BENCH_METHODS:
-            ses = [self.cell_stats(s, m, method)[1] for s, m in BENCH_CELLS]
-            lines.append(method + "_se " + " ".join(f"{v:.6f}" for v in ses))
+        """The table as LF-ended lines: a header, the mean of each cell, then its standard error."""
+        lines = [f"# bench reps={self.reps} n={self.n} master_seed={self.master_seed}\n",
+                 "# per-point mean squared error against the true signal\n",
+                 "method " + " ".join(f"{s}_{m[:4]}" for s, m in BENCH_CELLS) + "\n"]
+        for stat, suffix in enumerate(("", "_se")):
+            for method in BENCH_METHODS:
+                cells = [self.cell_stats(s, m, method)[stat] for s, m in BENCH_CELLS]
+                lines.append(method + suffix + " " + " ".join(f"{v:.6f}" for v in cells) + "\n")
         return lines
 
 

@@ -17,6 +17,7 @@ point. One fit takes about 1.3 ms at n = 2048 and 17 ms at n = 2**17.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -84,24 +85,6 @@ def preliminary_fit(x, half_window: int) -> PreliminaryFit:
     return PreliminaryFit(fit, residuals_sq)
 
 
-def _fill_from_nearest(values: np.ndarray, populated: np.ndarray) -> np.ndarray:
-    """Replace unpopulated entries by the nearest populated one (left on ties)."""
-    if populated.all():
-        return values
-    pop_idx = np.flatnonzero(populated)
-    if pop_idx.size == 0:
-        raise ValueError("no grid point received kernel mass")
-    pos = np.arange(values.size)
-    right = np.searchsorted(pop_idx, pos)
-    left = np.clip(right - 1, 0, pop_idx.size - 1)
-    right = np.clip(right, 0, pop_idx.size - 1)
-    nearer_right = np.abs(pop_idx[right] - pos) < np.abs(pos - pop_idx[left])
-    donor = np.where(nearer_right, pop_idx[right], pop_idx[left])
-    out = values.copy()
-    out[~populated] = values[donor[~populated]]
-    return out
-
-
 def _stable_order(a: np.ndarray) -> np.ndarray:
     """``np.argsort(a, kind="stable")`` of NaN-free ``a``: one unstable sort, then
     the keys group · n + index sorted, a group being equal values (±0.0 alike)."""
@@ -116,7 +99,9 @@ def nw_variance_raw(fit: PreliminaryFit, bandwidth: float,
     """Kernel-weighted mean of squared residuals at each grid point.
 
     Returns the values and the mask of grid points that received kernel
-    mass; the others are filled from the nearest populated neighbour.
+    mass. Each grid point takes the value of its nearest populated one (the
+    left one on a tie, itself if populated): one ``searchsorted`` of the
+    grid indices among the midpoints between populated neighbours.
 
     The fitted values are sorted once, residuals carried along, in the
     stable order, which :func:`_stable_order` builds from one unstable sort;
@@ -166,9 +151,11 @@ def nw_variance_raw(fit: PreliminaryFit, bandwidth: float,
         num[full] = np.add.reduceat(w, starts)
         g0 = g1
     populated = mass > 0
-    raw = np.zeros(mass.size)
-    raw[populated] = num[populated] / mass[populated]
-    return _fill_from_nearest(raw, populated), populated
+    donors = np.flatnonzero(populated)
+    if grid_u.size and not donors.size:
+        raise ValueError("no grid point received kernel mass")
+    nearest = donors[np.searchsorted((donors[1:] + donors[:-1]) / 2, np.arange(grid_u.size))]
+    return num[nearest] / mass[nearest], populated
 
 
 def pava_isotone(values, weights=None) -> np.ndarray:
@@ -198,7 +185,9 @@ def pava_isotone(values, weights=None) -> np.ndarray:
     ends, wsum, wvsum = [], [], []
     for end, (v, w) in enumerate(zip(values.tolist(), weights.tolist()), 1):
         s = w * v
-        while wsum and wvsum[-1] * w > s * wsum[-1]:
+        # Cross products that are the same infinity compare by the means instead.
+        while wsum and ((a := wvsum[-1] * w) > (c := s * wsum[-1]) or
+                        a == c and abs(a) == np.inf and wvsum[-1] / wsum[-1] > s / w):
             w += wsum.pop()
             s = wvsum.pop() + s
             ends.pop()
@@ -309,11 +298,12 @@ class VarianceEstimate:
             out[nan] = np.nan
         return float(out[0]) if np.isscalar(u) else out.reshape(u_arr.shape)
 
-    def as_lines(self) -> list[str]:
-        lines = [f"# floor_eps {self.floor_eps:.17g}",
-                 f"# bandwidth {self.bandwidth:.17g}",
-                 f"# half_window {self.half_window}"]
-        return lines + "".join(format_blocks("%.17g %.17g", self.grid_u, self.values)).splitlines()
+    def as_lines(self) -> Iterator[str]:
+        """Yield the step file's text: three header lines, then ``u value`` blocks, LF-ended."""
+        yield f"# floor_eps {self.floor_eps:.17g}\n"
+        yield f"# bandwidth {self.bandwidth:.17g}\n"
+        yield f"# half_window {self.half_window}\n"
+        yield from format_blocks("%.17g %.17g", self.grid_u, self.values)
 
 
 def estimate_variance_function(x, cfg: VarFnConfig | None = None) -> VarianceEstimate:

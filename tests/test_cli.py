@@ -478,8 +478,9 @@ class TestVst:
 
 def test_outputs_match_golden_fixtures(tmp_path):
     # The fixtures were written by these same calls. They pin the bench
-    # table, the estimate and its thresholds to the last digit, so a
-    # deliberate change to the arithmetic means writing them again.
+    # table, the estimate, its thresholds and the variance step function to
+    # the last digit, so a deliberate change to the arithmetic means writing
+    # them again.
     data = Path(__file__).parent / "data"
     assert run_cli(["bench", "--reps", 3, "--n", 256, "--seed", 5, "--stride", 8,
                     "--out", tmp_path / "bench.txt"]) == 0
@@ -487,9 +488,11 @@ def test_outputs_match_golden_fixtures(tmp_path):
                     "--noise", "poisson", "--seed", 5, "--out", tmp_path / "sim"]) == 0
     assert run_cli(["estimate", "--in", tmp_path / "sim_noisy.txt", "--out", tmp_path / "est.txt",
                     "--basis", "haar", "--emit-plots"]) == 0
+    assert run_cli(["varfn", "--in", tmp_path / "sim_noisy.txt", "--out", tmp_path / "h.txt"]) == 0
     for got, name in (("bench.txt", "bench_reps3_n256_seed5_stride8.txt"),
                       ("est.txt", "estimate_blocks_poisson_n256_seed5.txt"),
-                      ("est_thresholds.txt", "estimate_blocks_poisson_n256_seed5_thresholds.txt")):
+                      ("est_thresholds.txt", "estimate_blocks_poisson_n256_seed5_thresholds.txt"),
+                      ("h.txt", "varfn_blocks_poisson_n256_seed5.txt")):
         assert (tmp_path / got).read_bytes() == (data / name).read_bytes(), name
 
 

@@ -642,3 +642,29 @@ class TestScaling:
             assert got.tobytes() == (scale * want).tobytes()
         mad = baseline_mad_estimate(x, cfg)
         assert baseline_mad_estimate(scale * x, cfg).tobytes() == (scale * mad).tobytes()
+
+
+class TestCircularShift:
+    """Metamorphic relation: under full averaging a circular shift of the input
+    shifts the estimate.
+
+    Every shift is averaged and the fit sees the same (mean, residual) pairs,
+    so only the order of sums changes: equal fitted values may be summed in
+    another order, and the shift average starts at another shift.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(3, 10), st.sampled_from(BASIS_NAMES), st.sampled_from(["hard", "soft"]),
+           st.booleans(), st.integers(0, 2**32 - 1), st.integers(0, 2**20))
+    @example(10, "daub8", "hard", False, 1, 999)
+    @example(3, "haar", "soft", True, 2, 4)
+    def test_roll_commutes_with_estimate(self, log_n, basis, rule, known, seed, shift):
+        n = 1 << log_n
+        s = 1 + shift % (n - 1)
+        rng = np.random.default_rng(seed)
+        x = rng.exponential(size=n) * np.repeat(rng.uniform(1.0, 20.0, size=4), n // 4)
+        cfg = EstimatorConfig(basis=basis_by_name(basis), rule=rule,
+                              known_variance=H_SQUARE if known else None)
+        want = np.roll(estimate(x, cfg).values, s)
+        got = estimate(np.roll(x, s), cfg).values
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
