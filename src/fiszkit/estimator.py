@@ -13,7 +13,9 @@ any shift count, with a translation-invariant table in O(n log n) time
 and memory instead of one transform per shift; with
 ``translation_invariant=False`` the same engine runs the single unshifted
 pass. The local means, and h, are evaluated only at the coefficients the
-table holds.
+table holds. The fitted h is a step function, so its square root is taken
+once per fit and each level gathers its sd from that table at the steps of
+its local means (:meth:`fiszkit.varfn.VarianceEstimate.step_index`).
 
 A running-MAD comparator shares the same pipeline but derives thresholds
 from a robust per-level scale estimate of the coefficients themselves,
@@ -29,7 +31,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .signals import as_signal
-from .varfn import VarFnConfig, VarianceEstimate, estimate_variance_function
+from .varfn import VarFnConfig, VarianceEstimate, _check_integers, estimate_variance_function
 from .wavelet import (CoeffPyramid, WaveletBasis, _checked_thresholds, cycle_spin, haar,
                       shifted_local_means)
 
@@ -95,6 +97,7 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.rule not in _RULES:
             raise ValueError(f"rule must be one of {sorted(_RULES)}, got {self.rule!r}")
+        _check_integers(self, "shift_stride", *(() if self.max_level is None else ("max_level",)))
         if self.shift_stride < 1:
             raise ValueError("shift_stride must be >= 1")
         if self.max_level is not None and self.max_level < 1:
@@ -123,11 +126,15 @@ class EstimateResult:
 
 def coefficient_sd(lm, h: Callable, level: int) -> np.ndarray:
     """Noise sd sqrt(h(local mean)) of level-``level`` coefficients with local means ``lm``."""
-    with np.errstate(over="ignore", invalid="ignore"):  # reported by the check below
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by the checks below
         hv = np.asarray(h(lm), dtype=float)
-    if not (0 <= hv.min() and hv.max() < np.inf):  # also rejects NaN
+        sd = np.sqrt(hv)
+    if hv.shape != np.shape(lm):
+        raise ValueError(f"variance map returned shape {hv.shape} at level {level}, "
+                         f"expected {np.shape(lm)}")
+    if not sd.max() < np.inf:  # a negative variance gives a NaN sd, and max propagates NaN
         raise ValueError(f"variance map returned negative or non-finite values at level {level}")
-    return np.sqrt(hv)
+    return sd
 
 
 def thresholds_known_h(lm: list[np.ndarray], h: Callable, max_level: int) -> list[np.ndarray]:
@@ -185,11 +192,14 @@ def estimate(x, cfg: EstimatorConfig | None = None) -> EstimateResult:
     cfg = cfg or EstimatorConfig()
     x = as_signal(x)
     fitted = None if cfg.known_variance else estimate_variance_function(x, cfg.varfn)
-    h = cfg.known_variance or fitted.query
     means = shifted_local_means(x, cfg.basis)
+    # No range check on the fitted sd: its table is finite (PAVA checks) and >= floor_eps > 0
+    # (the fit floors it), and the local means are finite (as_signal, the prefix-sum check).
+    sd = None if fitted is None else np.sqrt(fitted.values)
 
     def level_sd(j, rows):
-        return coefficient_sd(means(j, rows.shape[0]), h, j)
+        lm = means(j, rows.shape[0])
+        return sd[fitted.step_index(lm)] if fitted else coefficient_sd(lm, cfg.known_variance, j)
 
     values, thr, surv, shifts = _denoise(x, cfg, level_sd)
     return EstimateResult(values, thr, surv, cfg.known_variance or fitted, shifts)

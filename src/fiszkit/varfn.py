@@ -17,6 +17,7 @@ point. One fit takes about 1.3 ms at n = 2048 and 17 ms at n = 2**17.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -221,6 +222,15 @@ def default_bandwidth(alpha_hat, grid_size: int = 256) -> float:
     return max(0.2 * spread * alpha_hat.size ** -0.2, spread / grid_size)
 
 
+def _check_integers(cfg, *names: str) -> None:
+    """Reject config fields that are not integers (1.5, "3"); numpy integers pass."""
+    for name in names:
+        try:
+            operator.index(getattr(cfg, name))
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {getattr(cfg, name)}") from None
+
+
 @dataclass
 class VarFnConfig:
     """Knobs for :func:`estimate_variance_function`.
@@ -235,6 +245,7 @@ class VarFnConfig:
     grid_size: int = 256
 
     def __post_init__(self):
+        _check_integers(self, "half_window", "grid_size")
         if self.half_window < 0:
             raise ValueError("half_window must be >= 0")
         if self.grid_size < 2:
@@ -261,21 +272,18 @@ class VarianceEstimate:
     half_window: int = -1
     populated: Optional[np.ndarray] = None
 
-    def query(self, u):
-        """Step lookup: value at the largest knot <= u, clamped at the ends.
+    def step_index(self, u) -> np.ndarray:
+        """``np.searchsorted(grid_u[1:], u, side="right")`` on any sorted grid, 0 where u is NaN.
 
-        Equals ``values[np.searchsorted(grid_u[1:], u, side="right")]`` on
-        any sorted grid, and gives NaN where u is NaN. The index is guessed
-        as if the knots were evenly spaced, floor((u - u_0) (G - 1) /
-        (u_last - u_0)) clamped to the grid, and checked once against
-        grid_u[i] <= u < grid_u[i + 1]; the entries that miss are found by
-        ``searchsorted``. On the ``np.linspace`` grids the fit builds the
-        guess almost never misses, so a value costs O(1) work instead of a
-        binary search over the knots: nine full levels at n = 2048 take
-        0.2-0.4 ms, against 0.5-0.9 ms with ``searchsorted`` alone.
+        The index is guessed as if the knots were evenly spaced, floor((u -
+        u_0) (G - 1) / (u_last - u_0)) clamped to the grid, and checked once
+        against grid_u[i] <= u < grid_u[i + 1]; ``searchsorted`` finds the
+        entries that miss, almost none on the ``np.linspace`` grids of a fit.
+        A value costs O(1) work, not a binary search, but a call costs about
+        11 us fixed: 11 us at 128 values and 24 us at 2048, against 3.4 and
+        100 us for ``searchsorted`` (2-core Xeon VM, numpy 2.4).
         """
-        u_arr = np.asarray(u, dtype=float)
-        flat = u_arr.reshape(-1)
+        flat = np.asarray(u, dtype=float).reshape(-1)
         g = self.grid_u
         last = g.size - 1
         span = g[last] - g[0]
@@ -292,11 +300,16 @@ class VarianceEstimate:
         miss = (knots[idx] > flat) | (knots[1:][idx] <= flat)
         if np.count_nonzero(miss):
             idx[miss] = np.searchsorted(g[1:], flat[miss], side="right")
-        out = self.values[idx]
+        return idx.reshape(np.shape(u))
+
+    def query(self, u):
+        """Step lookup ``values[step_index(u)]``, clamped at the ends; NaN where u is NaN."""
+        flat = np.asarray(u, dtype=float).reshape(-1)
+        out = self.values[self.step_index(flat)]
         nan = np.isnan(flat)
         if np.count_nonzero(nan):
             out[nan] = np.nan
-        return float(out[0]) if np.isscalar(u) else out.reshape(u_arr.shape)
+        return float(out[0]) if np.isscalar(u) else out.reshape(np.shape(u))
 
     def as_lines(self) -> Iterator[str]:
         """Yield the step file's text: three header lines, then ``u value`` blocks, LF-ended."""

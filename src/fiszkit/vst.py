@@ -4,7 +4,9 @@ The forward transform divides every detail coefficient by the estimated
 standard deviation of that coefficient (square root of the fitted
 variance map at the coefficient's local data mean), leaving the smooth
 coefficient alone: one unshifted :func:`fiszkit.wavelet.cycle_spin` pass
-that divides where the denoiser shrinks. Multiplying back by the recorded
+that divides where the denoiser shrinks. The floored square roots of the
+fitted steps are taken once, and each level gathers its divisors from them
+at the steps of its local means. Multiplying back by the recorded
 divisors inverts it exactly, and composing it with universal-threshold
 shrinkage reproduces the mean-linked denoiser coefficient for coefficient.
 """
@@ -17,7 +19,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .estimator import EstimatorConfig, coefficient_sd, estimate
+from .estimator import EstimatorConfig, estimate
 from .signals import as_signal
 from .textio import data_rows, first_rejected, level_blocks, line_blocks
 from .varfn import VarianceEstimate, estimate_variance_function
@@ -49,10 +51,14 @@ def forward_vst(x, hhat: VarianceEstimate,
     x = as_signal(x)
     basis = basis or haar()
     means = shifted_local_means(x, basis)
+    with np.errstate(invalid="ignore"):  # a negative variance's NaN sd is reported below
+        sd = np.maximum(np.sqrt(hhat.values), np.sqrt(hhat.floor_eps))
 
     def divisors(j, _rows):
-        d = np.maximum(coefficient_sd(means(j, 1), hhat.query, j), np.sqrt(hhat.floor_eps))
-        if not np.all(d > 0):  # checked before the division, which would warn
+        d = sd[hhat.step_index(means(j, 1))]  # one gather, as the fitted thresholds
+        if not d.max() < np.inf:  # max propagates NaN
+            raise ValueError(f"variance map returned negative or non-finite values at level {j}")
+        if not d.min() > 0:  # checked before the division, which would warn
             raise ValueError(f"divisors must be strictly positive (level {j})")
         return d
 

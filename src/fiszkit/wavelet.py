@@ -270,11 +270,21 @@ def _checked_thresholds(j: int, lam, detail: np.ndarray) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     if lam.shape != detail.shape:
         raise ValueError(f"threshold level {j} has shape {lam.shape}, expected {detail.shape}")
-    if not np.all(lam >= 0):
+    if not lam.min() >= 0:  # NaN compares false; a level is never empty
         if not np.all(np.isfinite(detail)):
             raise ValueError(_COEFF_OVERFLOW)
         raise ValueError(f"negative or NaN threshold at level {j}")
     return lam
+
+
+def _weigh(y: np.ndarray, q: int, m: int, stop: int, op) -> None:
+    """``op`` in place: rows below m of ``y`` by q + 1 shifts, rows m .. stop - 1 by q.
+
+    Empty row ranges and factors of 1 are skipped, as x * 1 and x / 1 are x.
+    """
+    for rows, factor in ((y[:m], q + 1), (y[m:stop], q)):
+        if rows.size and factor != 1:
+            op(rows, factor, out=rows)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is reported as one ValueError
@@ -332,14 +342,11 @@ def cycle_spin(x, basis: WaveletBasis, shifts: int, max_level: int,
         y = _synthesis_step(rows, detail, g, h)
         parents = min(shifts, 1 << d)
         odd = y.shape[0] - parents
-        q, m = divmod(shifts, 2 << d)  # children below m hold q + 1 shifts, the rest q
-        y[:m] *= q + 1
-        y[m:] *= q
-        y[:odd, :-1] += y[parents:, 1:]  # each child rotated back onto its parent
-        y[:odd, -1] += y[parents:, 0]
-        q, m = divmod(shifts, 1 << d)
-        y[:m] /= q + 1
-        y[m:parents] /= q
+        _weigh(y, *divmod(shifts, 2 << d), y.shape[0], np.multiply)
+        if odd:  # each child rotated back onto its parent
+            y[:odd, :-1] += y[parents:, 1:]
+            y[:odd, -1] += y[parents:, 0]
+        _weigh(y, *divmod(shifts, 1 << d), parents, np.divide)
         rows = y[:parents]
     if not np.all(np.isfinite(rows[0])):
         raise ValueError(_COEFF_OVERFLOW)

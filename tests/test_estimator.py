@@ -16,8 +16,8 @@ from fiszkit import (EstimatorConfig, NoiseModel, SeedSpec, VarianceEstimate,
                      local_means, make_blocks, make_bumps, sample_noise, soft_threshold,
                      thresholds_data_driven, thresholds_known_h, universal_factor)
 from fiszkit.estimator import MAD_TO_SIGMA, _mad_window, _running_mad, coefficient_sd
-from fiszkit.wavelet import (BASIS_NAMES, _analysis_step, _synthesis_step, basis_by_name,
-                             cycle_spin, shifted_local_means)
+from fiszkit.wavelet import (BASIS_NAMES, _analysis_step, _checked_thresholds, _synthesis_step,
+                             basis_by_name, cycle_spin, shifted_local_means)
 
 H_POISSON = lambda u: np.asarray(u, dtype=float)
 H_SQUARE = lambda u: np.asarray(u, dtype=float) ** 2
@@ -104,13 +104,18 @@ def cycle_spin_arange_weights(x, basis, shifts, max_level, threshold_fn, shrink)
 
 
 def mode_threshold_fn(x, basis, max_level, mode):
-    """The threshold callback of ``estimate`` (known or fitted law) or of the MAD comparator."""
+    """The threshold callback of ``estimate`` (known or fitted law) or of the MAD comparator.
+
+    Mode "searchsorted" is the fitted law looked up by ``np.searchsorted``.
+    """
     factor = universal_factor(max_level)
     if mode == "mad":
         return lambda j, rows: MAD_TO_SIGMA * _running_mad(rows, _mad_window(j)) * factor
     h = H_POISSON
-    if mode == "fitted":
-        h = estimate_variance_function(x, EstimatorConfig().varfn).query
+    if mode in ("fitted", "searchsorted"):
+        fit = estimate_variance_function(x, EstimatorConfig().varfn)
+        h = fit.query if mode == "fitted" else (
+            lambda u: fit.values[np.searchsorted(fit.grid_u[1:], u, side="right")])
     means = shifted_local_means(x, basis)
     return lambda j, rows: coefficient_sd(means(j, len(rows)), h, j) * factor
 
@@ -182,6 +187,35 @@ class TestThresholdBuilders:
         want = thresholds_known_h(lm, hhat.query, 4)
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("h, shape", [
+        (lambda u: 4.0, "()"),
+        (lambda u: np.ravel(u) ** 0, "(64,)"),  # the right size, flat
+    ], ids=["scalar", "flat"])
+    def test_known_law_of_the_wrong_shape_is_named(self, h, shape):
+        x = np.random.default_rng(51).uniform(1.0, 9.0, size=64)
+        # the finest thresholded level (3) of the 64-shift table comes first
+        with pytest.raises(ValueError, match=re.escape(
+                f"variance map returned shape {shape} at level 3, expected (8, 8)")):
+            estimate(x, EstimatorConfig(known_variance=h))
+
+    def test_known_law_of_the_wrong_shape_is_named_by_thresholds_known_h(self):
+        lm = local_means(np.arange(1.0, 9.0))
+        with pytest.raises(ValueError, match=re.escape(
+                "variance map returned shape () at level 0, expected (1,)")):
+            thresholds_known_h(lm, lambda u: 4.0, 3)
+
+    def test_coefficient_sd_keeps_negative_zero(self):
+        sd = coefficient_sd(np.zeros(3), lambda u: np.array([-0.0, 0.0, 4.0]), 2)
+        assert sd.tobytes() == np.array([-0.0, 0.0, 2.0]).tobytes()
+
+    @pytest.mark.parametrize("bad", [-5e-324, np.nan, np.inf])
+    def test_coefficient_sd_rejects_with_one_message(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the ValueError is the only report
+            with pytest.raises(ValueError, match=re.escape(
+                    "variance map returned negative or non-finite values at level 2")):
+                coefficient_sd(np.zeros(3), lambda u: np.array([1.0, bad, 4.0]), 2)
 
     def test_data_driven_flat_estimate_is_universal(self):
         hhat = VarianceEstimate(np.array([0.0, 1.0]), np.array([1.0, 1.0]), 1e-9)
@@ -404,6 +438,34 @@ class TestEstimate:
                           cycle_spin_arange_weights(x, basis, shifts, max_level, threshold_fn,
                                                     shrink))
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 10), st.integers(0, 2**32 - 1), st.sampled_from(ALL_BASES),
+           st.sampled_from([1, 3, 16]), st.booleans(), st.sampled_from(["hard", "soft"]),
+           st.sampled_from(["fitted", "known"]), st.booleans())
+    def test_estimate_matches_the_query_route_bit_for_bit(self, depth, seed, basis, stride,
+                                                          ti, rule, mode, poisson):
+        # The query route is coefficient_sd over VarianceEstimate.query, and for
+        # the fitted law also over np.searchsorted. Poisson local means are ratios
+        # of small integers and can land on a knot, where a lookup that rounds
+        # differently would take the neighbouring step.
+        rng = np.random.default_rng(seed)
+        n = 1 << depth
+        if poisson:
+            x = rng.poisson(np.repeat(rng.uniform(0.2, 20.0, size=4), n // 4)).astype(float)
+        else:
+            x = rng.uniform(0.5, 30.0, size=n)
+        cfg = EstimatorConfig(rule=rule, translation_invariant=ti, shift_stride=stride,
+                              basis=basis, known_variance=H_POISSON if mode == "known" else None)
+        max_level = cfg.resolve_max_level(depth)
+        shrink = soft_threshold if rule == "soft" else hard_threshold
+        res = estimate(x, cfg)
+        for route in [mode] + ["searchsorted"] * (mode == "fitted"):
+            values, thr, shrunk = cycle_spin(x, basis, len(shift_list(n, cfg)), max_level,
+                                             mode_threshold_fn(x, basis, max_level, route),
+                                             shrink)
+            assert_same_bytes((res.values, res.thresholds, res.survivors),
+                              (values, thr, [d != 0 for d in shrunk]))
+
     def test_cycle_spin_memory_is_n_log_n(self):
         # every shift of n = 4096: a shift-count x n stack would be 128 MiB;
         # daub8's periodically extended rows count too
@@ -448,6 +510,17 @@ class TestEstimate:
             p = dwt_forward(x)
         with pytest.raises(ValueError, match=message):
             apply_threshold(p, [lam_of(p.details[0])], "hard", 1)
+
+    def test_threshold_check_reports_overflow_before_a_nan_threshold(self):
+        nan_first = np.array([np.nan, 1.0])
+        with pytest.raises(ValueError, match="wavelet coefficients overflow"):
+            _checked_thresholds(1, nan_first, np.array([np.inf, 1.0]))
+        with pytest.raises(ValueError, match="negative or NaN threshold at level 1"):
+            _checked_thresholds(1, nan_first, np.ones(2))
+        with pytest.raises(ValueError, match="negative or NaN threshold at level 1"):
+            _checked_thresholds(1, [1.0, -5e-324], np.ones(2))
+        assert _checked_thresholds(1, [-0.0, 0.0], np.ones(2)).tobytes() == \
+            np.array([-0.0, 0.0]).tobytes()
 
     def test_out_of_range_max_level_fails_before_any_factor(self):
         # 2^(10^9) - 1, the coefficient count of 10^9 levels, is a 125 MB integer
@@ -518,6 +591,14 @@ class TestEstimate:
             EstimatorConfig(max_level=0)
         with pytest.raises(ValueError):
             estimate(np.ones(8), EstimatorConfig(max_level=4))  # depth is 3
+
+    @pytest.mark.parametrize("field", ["shift_stride", "max_level"])
+    def test_integer_fields_must_be_integers(self, field):
+        # 2.5 used to fail inside the engine with a TypeError
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer, got 2.5$"):
+            EstimatorConfig(**{field: 2.5})
+        cfg = EstimatorConfig(**{field: np.int64(2)})  # numpy integers pass
+        assert estimate(np.arange(1.0, 17.0), cfg).values.shape == (16,)
 
 
 class TestBaseline:

@@ -634,6 +634,25 @@ class TestEstimatePipeline:
         for v in pool.tolist():
             assert np.float64(est.query(v)).tobytes() == query_oracle(est, v).tobytes()
 
+    @settings(max_examples=150)
+    @given(st.one_of(
+        arrays(float, st.integers(1, 8), elements=st.floats(-5.0, 5.0)).map(np.sort),
+        st.tuples(st.integers(2, 300), st.floats(-8.0, 3.0), st.floats(-1e9, 1e9)).map(
+            lambda a: np.linspace(a[2], a[2] + 10.0 ** a[1], a[0]))),
+        st.integers(0, 2**32 - 1), st.sampled_from([(), (1,), (7,), (3, 5)]))
+    def test_step_index_is_searchsorted(self, grid, seed, shape):
+        # u on every knot and one ulp to either side, outside the grid and at ±inf
+        est = VarianceEstimate(grid, np.arange(grid.size) + 0.5, 1e-9)
+        pool = np.concatenate([grid, np.nextafter(grid, np.inf), np.nextafter(grid, -np.inf),
+                               [np.inf, -np.inf, grid[0] - 1.0, grid[-1] + 1.0]])
+        u = np.random.default_rng(seed).choice(pool, size=shape)
+        got = est.step_index(u)
+        assert got.shape == shape and got.dtype == np.intp
+        np.testing.assert_array_equal(got, np.searchsorted(grid[1:], u, side="right"))
+        np.testing.assert_array_equal(est.step_index(pool),
+                                      np.searchsorted(grid[1:], pool, side="right"))
+        assert est.step_index(np.array([np.nan, grid[-1]])).tolist() == [0, grid.size - 1]
+
     def test_query_on_zero_span_grid(self):
         # constant data gives a grid of equal knots: the top value from the knot up
         est = VarianceEstimate(np.linspace(3.0, 3.0, 256), np.arange(256.0), 1e-9)
@@ -718,3 +737,14 @@ class TestEstimatePipeline:
             VarFnConfig(bandwidth=-2.0)
         with pytest.raises(ValueError):
             VarFnConfig(bandwidth="plugin")
+
+    @pytest.mark.parametrize("field", ["half_window", "grid_size"])
+    def test_integer_fields_must_be_integers(self, field):
+        # 1.5 used to run as half-window 1 (running_mean truncates); 10.5 failed in linspace
+        bad = {"half_window": 1.5, "grid_size": 10.5}[field]
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer, got {bad}$"):
+            VarFnConfig(**{field: bad})
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            VarFnConfig(**{field: "3"})
+        cfg = VarFnConfig(**{field: np.int64(3)})  # numpy integers pass
+        assert getattr(cfg, field) == 3

@@ -165,6 +165,21 @@ class TestForwardInverse:
         assert_bits_equal([inverse_vst(xt, state)],
                           [inverse_vst_oracle(xt, want_divisors, basis)])
 
+    @given(st.integers(2, 10), BASES, st.integers(0, 2**32 - 1), st.booleans())
+    def test_fitted_map_matches_pyramid_oracle_bit_for_bit(self, log_n, name, seed, poisson):
+        # Poisson local means can sit on a knot of the fitted grid
+        rng = np.random.default_rng(seed)
+        n = 1 << log_n
+        if poisson:
+            x = rng.poisson(np.repeat(rng.uniform(0.2, 20.0, size=4), n // 4)).astype(float)
+        else:
+            x = rng.uniform(0.5, 30.0, size=n)
+        hhat = estimate_variance_function(x, EstimatorConfig().varfn)
+        basis = basis_by_name(name)
+        xt, state = forward_vst(x, hhat, basis)
+        want_xt, want_divisors = vst_oracle(x, hhat, basis)
+        assert_bits_equal([xt, *state.divisors], [want_xt, *want_divisors])
+
 
 class TestThreeStepRoute:
     def test_equals_direct_estimator_without_cycle_spinning(self):
