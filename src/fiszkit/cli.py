@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
@@ -276,6 +275,7 @@ def run_bench(reps: int, n: int, master_seed: int, cfg: EstimatorConfig) -> Benc
              for rep in range(1, reps + 1)]
     workers = worker_count()
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # slow to import, so only here
         with ProcessPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(_bench_worker, tasks, chunksize=4))
     else:

@@ -118,25 +118,30 @@ class CoeffPyramid:
         return self.smooth**2 + sum(float(np.sum(d**2)) for d in self.details)
 
 
-def _analysis_step(approx: np.ndarray, g: np.ndarray, h: np.ndarray):
+def _analysis_step(approx: np.ndarray, g: np.ndarray, h: np.ndarray | None):
     """One periodic analysis step along the last axis of ``approx``.
 
-    Longer filters read tap i of every coefficient as a strided slice of the
-    periodically extended row, even and odd taps summed apart: a daub8 step
-    over 2**18 values takes about 4 ms (19 ms as a (rows, m/2, L) gather).
+    Returns the approximation and the detail, or the approximation alone
+    when ``h`` is None. Longer filters read tap i of every coefficient as a
+    strided slice of the periodically extended row, even and odd taps
+    summed apart.
     """
     m = approx.shape[-1]
     if g.size == 2:
         a, b = approx[..., 0::2], approx[..., 1::2]
-        return (a + b) * g[0], a * h[0] + b * h[1]
+        lo = (a + b) * g[0]
+        return lo if h is None else (lo, a * h[0] + b * h[1])
     k = g.size - 2  # extend the row periodically by k samples, wrapping while m < k
     ext = np.concatenate([approx] * (1 + k // m) + [approx[..., :k % m]], axis=-1)
     taps = [ext[..., i:i + m:2] for i in range(g.size)]
-    lo, hi = [taps[0] * g[0], taps[1] * g[1]], [taps[0] * h[0], taps[1] * h[1]]
-    for i in range(2, g.size):
-        lo[i % 2] += taps[i] * g[i]
-        hi[i % 2] += taps[i] * h[i]
-    return np.add(*lo, out=lo[0]), np.add(*hi, out=hi[0])
+
+    def filtered(f):
+        even_odd = [taps[0] * f[0], taps[1] * f[1]]
+        for i in range(2, f.size):
+            even_odd[i % 2] += taps[i] * f[i]
+        return np.add(*even_odd, out=even_odd[0])
+    lo = filtered(g)
+    return lo if h is None else (lo, filtered(h))
 
 
 def _synthesis_step(approx: np.ndarray, detail: np.ndarray, g: np.ndarray, h: np.ndarray):
@@ -219,8 +224,10 @@ def shifted_local_means(x, basis: WaveletBasis | None = None):
     window of level j's support length that starts at sample
     (k - 1) 2^(J-j) - s, and ``count`` must lie in [1, p], p = 2^(J-j). The
     doubled prefix sum is built once. The starts p k - s, 1 <= k <= 2^j, never
-    wrap, so each call reads them as one reshaped slice with rows reversed: no
-    index array and no gather (start p 2^j - s is start -s for s >= 1).
+    wrap: in rows of p, the prefix sum holds them in its last ``count`` columns,
+    a (2^j, count) block whose differences are the means. One transposed copy
+    puts them in shift order, start p 2^j - s (-s for s >= 1) first: no index
+    array and no gather.
     """
     x = as_signal(x)
     n = x.size
@@ -237,13 +244,15 @@ def shifted_local_means(x, basis: WaveletBasis | None = None):
         p, width = n >> j, lengths[j]
         if not 1 <= count <= p:
             raise ValueError(f"level {j} has {p} distinct shifts, got count {count}")
-        # [s, k - 1] holds the partial sum at p k - s (or p k - s + width), k = 1 .. 2^j
-        lo, hi = (csum[a:a + n].reshape(-1, p)[:, ::-1][:, :count].T for a in (1, 1 + width))
-        out = np.empty((count, 1 << j))
-        np.subtract(hi[:, :-1], lo[:, :-1], out=out[:, 1:])
-        np.subtract(hi[:, -1], lo[:, -1], out=out[:, 0])
-        out[0, 0] = csum[width] - csum[0]
-        return np.divide(out, width, out=out)
+        # [k - 1, count - 1 - s] holds the partial sum at p k - s (or p k - s + width)
+        lo, hi = (csum[a:a + n].reshape(-1, p)[:, p - count:] for a in (1, 1 + width))
+        block = np.empty((1 + (1 << j), count))  # row k: start p k - s; row 0 repeats row 2^j
+        np.subtract(hi, lo, out=block[1:])
+        block[1:] /= width
+        block[0] = block[-1]
+        out = np.ascontiguousarray(block[:-1, ::-1].T)  # a view already when count is 1
+        out[0, 0] = (csum[width] - csum[0]) / width
+        return out
     return means
 
 
@@ -329,17 +338,19 @@ def cycle_spin(x, basis: WaveletBasis, shifts: int, max_level: int,
         j = depth - 1 - d
         odd = min(shifts, 2 << d) - rows.shape[0]  # rows r + 2^d still below shifts
         if odd > 0:  # children: their parents rotated by one sample
-            rows = np.concatenate([rows, np.concatenate([rows[:odd, -1:], rows[:odd, :-1]], 1)])
-        rows, detail = _analysis_step(rows, g, h)
+            table = np.empty((rows.shape[0] + odd, rows.shape[1]))
+            table[:-odd], table[-odd:, 0], table[-odd:, 1:] = rows, rows[:odd, -1], rows[:odd, :-1]
+            rows = table
         if j >= max_level:
+            rows = _analysis_step(rows, g, None)
             shrunk.append(None)
             continue
+        rows, detail = _analysis_step(rows, g, h)
         lam = _checked_thresholds(j, threshold_fn(j, detail), detail)
         shrunk.append(shrink(detail, lam))
         first_thr.append(lam[0].copy())
     for d in reversed(range(depth)):
-        detail = shrunk[d] if shrunk[d] is not None else np.zeros_like(rows)
-        y = _synthesis_step(rows, detail, g, h)
+        y = _synthesis_step(rows, 0.0 if shrunk[d] is None else shrunk[d], g, h)
         parents = min(shifts, 1 << d)
         odd = y.shape[0] - parents
         _weigh(y, *divmod(shifts, 2 << d), y.shape[0], np.multiply)

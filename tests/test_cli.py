@@ -1,4 +1,5 @@
 import codecs
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -510,7 +511,6 @@ class TestBench:
         assert all(v >= 0 for v in values)
 
     def test_report_deterministic_across_workers(self, tmp_path):
-        import os
         outs = []
         for threads in ("1", "4"):
             out = tmp_path / f"report_{threads}.txt"
@@ -521,3 +521,14 @@ class TestBench:
                            check=True, env=env)
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # Only `bench` with FISZKIT_THREADS > 1 imports the pool, and only then.
+    code = ("import sys, fiszkit.cli; print(sorted(m for m in sys.modules "
+            "if m.partition('.')[0] in ('concurrent', 'multiprocessing')))")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.strip() == "[]"

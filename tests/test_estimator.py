@@ -438,6 +438,31 @@ class TestEstimate:
                           cycle_spin_arange_weights(x, basis, shifts, max_level, threshold_fn,
                                                     shrink))
 
+    @given(st.integers(2, 9).flatmap(lambda depth: st.tuples(
+               st.just(depth), st.one_of(st.just(1), st.integers(1, 1 << depth)),
+               st.integers(1, depth - 1))),
+           st.integers(0, 2**32 - 1), st.sampled_from(ALL_BASES),
+           st.sampled_from(["known", "fitted", "mad"]), st.sampled_from(["hard", "soft"]),
+           st.sampled_from([(0.0,), (-0.0,), (0.0, -0.0)]), st.sampled_from([0.0, 0.5]))
+    @example((3, 8, 2), 0, ALL_BASES[0], "known", "hard", (0.0,), 0.0)
+    @example((3, 8, 2), 0, ALL_BASES[3], "fitted", "soft", (-0.0,), 0.0)
+    @example((3, 1, 1), 0, ALL_BASES[0], "known", "hard", (-0.0,), 0.0)  # a -0.0 reaches level 1
+    def test_cycle_spin_merge_is_bit_exact_on_signed_zeros(self, sizes, seed, basis, mode, rule,
+                                                           zeros, nonzero):
+        # The engine synthesises the zeroed levels j >= max_level from a scalar
+        # 0.0, the oracle from np.zeros_like: ±0.0 entries and the all-zero
+        # signal must come out with the same bits, signs of zeros included.
+        depth, shifts, max_level = sizes
+        rng = np.random.default_rng(seed)
+        x = rng.choice(zeros, size=1 << depth)
+        some = rng.random(x.size) < nonzero
+        x[some] = rng.uniform(0.5, 30.0, size=np.count_nonzero(some))
+        threshold_fn = mode_threshold_fn(x, basis, max_level, mode)
+        shrink = soft_threshold if rule == "soft" else hard_threshold
+        assert_same_bytes(cycle_spin(x, basis, shifts, max_level, threshold_fn, shrink),
+                          cycle_spin_arange_weights(x, basis, shifts, max_level, threshold_fn,
+                                                    shrink))
+
     @settings(max_examples=150, deadline=None)
     @given(st.integers(2, 10), st.integers(0, 2**32 - 1), st.sampled_from(ALL_BASES),
            st.sampled_from([1, 3, 16]), st.booleans(), st.sampled_from(["hard", "soft"]),

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fiszkit import (NoiseModel, SeedSpec, VarFnConfig, VarianceEstimate,
+from fiszkit import (EstimatorConfig, NoiseModel, SeedSpec, VarFnConfig, VarianceEstimate,
                      default_bandwidth, estimate_variance_function, make_blocks,
                      make_bumps, nw_variance_raw, pava_isotone, preliminary_fit, running_mean,
                      sample_noise, triangular_kernel)
@@ -477,7 +477,32 @@ class TestPava:
         else:
             w = data.draw(arrays(float, n, elements=st.floats(0.01, 100.0)))
             got = pava_isotone(v, w)
-        np.testing.assert_array_equal(got, pava_scalar_oracle(v, w))
+        assert got.tobytes() == pava_scalar_oracle(v, w).tobytes()  # -0.0 and 0.0 apart
+
+    @pytest.mark.parametrize("values", [[-0.0], [0.0, -0.0, -0.0], [-0.0, 1.0, -0.0],
+                                        [2.5] * 9 + [1.0] * 3 + [2.5] * 4 + [3.0] * 20])
+    def test_bit_identical_to_scalar_scan_on_repeated_values(self, values):
+        # The nearest-donor fill repeats a populated grid value exactly over each
+        # run of unpopulated points; runs longer than 7 are summed pairwise.
+        values = np.array(values)
+        want = pava_scalar_oracle(values, np.ones(values.size))
+        assert pava_isotone(values).tobytes() == want.tobytes()
+
+    def test_bit_identical_to_scalar_scan_on_fitted_grids(self):
+        # The raw grids fitted to the 32 inputs of perfbench's ti-denoise workload.
+        cfg = EstimatorConfig().varfn
+        blocks, bumps = make_blocks(2048, 1.0, 22.6), make_bumps(2048, 3.0, 23.21)
+        unpopulated = 0
+        for rep in range(1, 17):
+            for truth, kind, seed in ((blocks, "poisson", 101), (bumps, "exponential", 102)):
+                fit = preliminary_fit(sample_noise(truth, NoiseModel(kind), SeedSpec(seed, rep)),
+                                      cfg.half_window)
+                grid = np.linspace(fit.alpha_hat.min(), fit.alpha_hat.max(), cfg.grid_size)
+                raw, populated = nw_variance_raw(fit, default_bandwidth(fit.alpha_hat), grid)
+                unpopulated += np.count_nonzero(~populated)
+                want = pava_scalar_oracle(raw, np.ones(raw.size))
+                assert pava_isotone(raw).tobytes() == want.tobytes()
+        assert unpopulated > 0
 
     @settings(max_examples=150, deadline=None)
     @given(pooled_blocks())
@@ -528,10 +553,19 @@ class TestPava:
     def test_cross_products_that_overflow_alike(self, values, pooled):
         # Both cross products of the scan overflow to the same infinity; the sums stay finite.
         values = np.array(values)
-        got = pava_isotone(values, np.full(2, 1e150))
+        weights = np.full(2, 1e150)
+        got = pava_isotone(values, weights)
         want = np.full(2, values.mean()) if pooled else values
         np.testing.assert_allclose(got, want, rtol=1e-15)
         assert np.all(np.diff(got) >= 0)
+        # By bytes: the scalar oracle takes the two infinities as equal and pools
+        # nothing, so a pooled pair is checked against its block sum instead.
+        if pooled:
+            want = np.full(2, np.sum(weights * values) / np.sum(weights))
+        else:
+            with np.errstate(over="ignore"):  # the oracle's cross products overflow
+                want = pava_scalar_oracle(values, weights)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestDefaultBandwidth:
