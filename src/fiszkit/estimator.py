@@ -213,8 +213,9 @@ def _running_mad(values: np.ndarray, window: int) -> np.ndarray:
     where a full window stack would hold window × n values; at the default
     depth, every level of a signal of n <= 2048 takes one block. Each
     position's MAD depends only on its own window, so blocking does not
-    change the result. Both medians are middle order statistics of sorted
-    windows: O(n w log w) time for windows of w values. Windows of up to
+    change the result. Each window is sorted once, O(n w log w) time for
+    windows of w values, and its MAD selected from the two ascending runs
+    of deviations in O(w) (:func:`_mad_of_deviations`). Windows of up to
     ``_NETWORK_WIDTH`` values are sorted all at once by a compare-exchange
     network over w shifted views (:func:`_mad_of_columns`), wider ones
     gathered and sorted row by row (:func:`_mad_in_place`).
@@ -254,21 +255,16 @@ def _middle(cols) -> np.ndarray:
 
 
 def _mad_in_place(windows: np.ndarray) -> np.ndarray:
-    """MAD along the last axis; sorts and then overwrites ``windows``.
+    """MAD along the last axis; sorts ``windows`` and overwrites it with the deviations.
 
-    The median and the MAD are middle order statistics of the sorted
-    window and of its sorted deviations, so the result is bit-identical
-    to ``np.median`` of the window stack. A window that holds a NaN gives
-    NaN, as ``np.median`` does: sorting puts NaN last, and its deviation
-    stays NaN.
+    The median is the middle of the sorted window, and the MAD is selected
+    from its deviations by :func:`_mad_of_deviations`, so the result is
+    bit-identical to ``np.median`` of the window stack.
     """
     cols = np.moveaxis(windows, -1, 0)
     windows.sort(axis=-1)
     np.abs(np.subtract(windows, _middle(cols)[..., None], out=windows), out=windows)
-    windows.sort(axis=-1)
-    mad = _middle(cols)
-    mad[np.isnan(cols[-1])] = np.nan
-    return mad
+    return _mad_of_deviations(cols)
 
 
 def _sort_columns(cols: list) -> None:
@@ -290,9 +286,37 @@ def _mad_of_columns(cols: list) -> np.ndarray:
     """MAD of the windows whose values are ``cols[0] .. cols[w-1]``; as :func:`_mad_in_place`."""
     _sort_columns(cols)
     med = _middle(cols)
-    devs = [np.abs(c - med) for c in cols]
-    _sort_columns(devs)
-    return _middle(devs)
+    return _mad_of_deviations([np.abs(c - med) for c in cols])
+
+
+def _mad_of_deviations(devs) -> np.ndarray:
+    """Median of the deviations ``devs[0] .. devs[w-1]`` of sorted windows from their medians.
+
+    The deviations form two ascending runs, devs[c-1], .., devs[0] and
+    devs[c], .., devs[w-1] with c = w // 2. The k-th smallest of two
+    ascending runs a and b is the min over splits i of max(a_i, b_{k-i}),
+    with a_0 = b_0 = -inf (Knuth, TAOCP vol. 3, 5.3.3); here a split is
+    max(devs[t], devs[t + k - 1]), t = 0 .. w - k, the larger end deviation
+    of k consecutive sorted values, and every deviation enters one. ``max``
+    and ``min`` select without arithmetic and no deviation is -0.0, so the
+    middle values are a sort's, bit for bit, and NaN where a deviation is
+    NaN, as in ``np.median``. The splits are taken one at a time when a
+    block holds at least as many positions as there are splits, else in one
+    ``np.maximum``: fewer numpy calls for wide windows over few positions.
+    """
+    w = len(devs)
+    middle = []
+    for k in range((w + 1) // 2, w // 2 + 2):  # the middle one or two
+        splits = w - k + 1
+        if devs[0].shape[-1] < splits:
+            middle.append(np.maximum(devs[:splits], devs[k - 1:]).min(axis=0))
+            continue
+        out = np.maximum(devs[0], devs[k - 1])
+        pair = np.empty_like(out)
+        for t in range(1, splits):
+            np.minimum(out, np.maximum(devs[t], devs[t + k - 1], out=pair), out=out)
+        middle.append(out)
+    return middle[0] if w % 2 else (middle[0] + middle[1]) / 2
 
 
 def _mad_window(j: int) -> int:

@@ -108,7 +108,7 @@ def nw_variance_raw(fit: PreliminaryFit, bandwidth: float,
     stable order, which :func:`_stable_order` builds from one unstable sort;
     each grid point u weights only the slice found by ``searchsorted`` for
     [u - b/2, u + b/2]. A block of grid points gathers its slices into one
-    array of at most max(n, 2**12) samples (at n = 2048, blocks that stay in
+    array of at most max(n, 2**13) samples (at n = 2048, blocks that stay in
     cache), weighted by one kernel call and summed per slice by
     ``np.add.reduceat``: O(n log n) time and O(n) memory, also when every
     window holds all n samples. Slices are summed on their own, never as
@@ -129,7 +129,7 @@ def nw_variance_raw(fit: PreliminaryFit, bandwidth: float,
     hi = np.searchsorted(alpha, grid_u + reach, side="right")
     counts = hi - lo
     ends = np.cumsum(counts)
-    block = max(alpha.size, 1 << 12)
+    block = max(alpha.size, 1 << 13)
     mass = np.zeros(grid_u.size)
     num = np.zeros(grid_u.size)
     g0 = 0

@@ -15,7 +15,8 @@ from fiszkit import (EstimatorConfig, NoiseModel, SeedSpec, VarianceEstimate,
                      estimate, estimate_variance_function, haar, hard_threshold,
                      local_means, make_blocks, make_bumps, sample_noise, soft_threshold,
                      thresholds_data_driven, thresholds_known_h, universal_factor)
-from fiszkit.estimator import MAD_TO_SIGMA, _mad_window, _running_mad, coefficient_sd
+from fiszkit.estimator import (_NETWORK_WIDTH, MAD_TO_SIGMA, _mad_window, _middle, _running_mad,
+                               _sort_columns, coefficient_sd)
 from fiszkit.wavelet import (BASIS_NAMES, _analysis_step, _checked_thresholds, _synthesis_step,
                              basis_by_name, cycle_spin, shifted_local_means)
 
@@ -30,6 +31,36 @@ def mad_window_stack(values, window):
     stack = np.stack([np.roll(values, -o, axis=-1) for o in np.arange(w) - w // 2])
     med = np.median(stack, axis=0)
     return np.median(np.abs(stack - med), axis=0)
+
+
+def mad_sort_twice(values, window):
+    """Running MAD that sorts each window and then sorts its deviations.
+
+    Windows of up to ``_NETWORK_WIDTH`` values go through the
+    compare-exchange network twice, wider ones through ``ndarray.sort``
+    twice; the median and the MAD are the middles of the sorted arrays. A
+    sort puts NaN last, so a window whose largest deviation is NaN is set
+    to NaN.
+    """
+    m = values.shape[-1]
+    w = min(window, m)
+    lead = w // 2
+    padded = np.concatenate([values[..., m - lead:], values, values[..., :w - 1 - lead]], axis=-1)
+    if w <= _NETWORK_WIDTH:
+        cols = [padded[..., i:i + m] for i in range(w)]
+        _sort_columns(cols)
+        med = _middle(cols)
+        devs = [np.abs(c - med) for c in cols]
+        _sort_columns(devs)
+        return _middle(devs)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, w, axis=-1).copy()
+    cols = np.moveaxis(windows, -1, 0)
+    windows.sort(axis=-1)
+    np.abs(np.subtract(windows, _middle(cols)[..., None], out=windows), out=windows)
+    windows.sort(axis=-1)
+    mad = _middle(cols)
+    mad[np.isnan(cols[-1])] = np.nan
+    return mad
 
 
 def shift_list(n: int, cfg: EstimatorConfig) -> range:
@@ -672,6 +703,43 @@ class TestBaseline:
             np.testing.assert_array_equal(got, mad_window_stack(values, window))
         lead = window // 2  # position p's window starts at p - lead
         assert np.isnan(got[0, 100 + lead - window + 1:100 + lead + 1]).all()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 300), st.integers(1, 600), st.integers(0, 2**32 - 1),
+           st.sampled_from([(None, None), (0, None), (None, 0)]),
+           st.sampled_from([0.0, 0.002, 0.02, 0.3, 0.9]))
+    # wide windows over few positions per block, and a last block of few positions
+    @example(8, 300, 257, 69, (None, None), 0.02)
+    @example(8, 200, 150, 69, (0, None), 0.02)
+    @example(1, 300, 257, 69, (None, 0), 0.02)
+    def test_running_mad_bit_identical_to_sorting_twice(self, rows, m, window, seed, clip, share):
+        # ties, ±0.0, ±inf, NaN and ±1.7e308, whose pairs overflow an even window's median;
+        # clipped at 0, about half of each window ties at one end, where the MAD can be
+        # the first or the last split
+        rng = np.random.default_rng(seed)
+        values = np.clip(np.round(rng.normal(size=(rows, m)), 1), *clip)
+        hit = rng.random(values.shape) < share
+        values[hit] = rng.choice([0.0, -0.0, 1.7e308, -1.7e308, np.inf, -np.inf, np.nan],
+                                 size=hit.sum())
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _running_mad(values, window)
+            want = mad_sort_twice(values, window)
+        nan = np.isnan(want)
+        np.testing.assert_array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+
+    @pytest.mark.parametrize("window", [8, 9, 64, 65])
+    def test_running_mad_where_the_median_overflows(self, window):
+        # every even window of 1.7e308s has the median inf, and so the MAD inf
+        values = np.full((2, 130), 1.7e308)
+        values[0, ::2] = -1.7e308
+        values[1, 7] = 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _running_mad(values, window)
+            want = mad_sort_twice(values, window)
+        assert got.tobytes() == want.tobytes()
+        if window % 2 == 0:
+            assert np.isinf(got[1]).all()
 
     def test_running_mad_memory_is_linear(self):
         # full averaging at n = 2^14: the finest thresholded level (j = 11)

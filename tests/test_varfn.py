@@ -47,6 +47,16 @@ def nw_window_oracle(fit, bandwidth, grid_u):
     return raw, populated
 
 
+def mean_drops(s0, w0, s1, w1):
+    """Whether block (s0, w0) has a larger mean than the next block (s1, w1).
+
+    Compared by cross products, and by the means where both cross products
+    are the same infinity, as in ``pava_isotone``.
+    """
+    a, c = s0 * w1, s1 * w0
+    return a > c or a == c and abs(a) == np.inf and s0 / w0 > s1 / w1
+
+
 def pava_scalar_oracle(values, weights):
     """The scan on numpy scalars, with one ``np.sum`` pair per block."""
     ends, wsum, wvsum = [], [], []
@@ -54,7 +64,7 @@ def pava_scalar_oracle(values, weights):
         ends.append(i + 1)
         wsum.append(w)
         wvsum.append(w * v)
-        while len(ends) > 1 and wvsum[-2] * wsum[-1] > wvsum[-1] * wsum[-2]:
+        while len(ends) > 1 and mean_drops(wvsum[-2], wsum[-2], wvsum[-1], wsum[-1]):
             ends[-2] = ends[-1]
             wsum[-2] += wsum[-1]
             wvsum[-2] += wvsum[-1]
@@ -77,7 +87,7 @@ def pava_reduce_oracle(values, weights=None):
         ends.append(i + 1)
         wsum.append(w)
         wvsum.append(w * v)
-        while len(ends) > 1 and wvsum[-2] * wsum[-1] > wvsum[-1] * wsum[-2]:
+        while len(ends) > 1 and mean_drops(wvsum[-2], wsum[-2], wvsum[-1], wsum[-1]):
             ends[-2] = ends[-1]
             wsum[-2] += wsum[-1]
             wvsum[-2] += wvsum[-1]
@@ -98,7 +108,11 @@ def kernel_where_oracle(v):
 
 
 def nw_formula_oracle(fit, bandwidth, grid_u):
-    """The blocked gather with the ``np.where`` kernel and an out-of-place argument."""
+    """The blocked gather with the ``np.where`` kernel and an out-of-place argument.
+
+    Its blocks hold max(n, 2**12) samples, half the gather's floor; block
+    edges fall between slices, so they change no sum.
+    """
     order = np.argsort(fit.alpha_hat, kind="stable")
     alpha, resid_sq = fit.alpha_hat[order], fit.residuals_sq[order]
     reach = 0.5 * bandwidth * (1.0 + 16 * np.finfo(float).eps) + 4 * np.spacing(np.abs(grid_u))
@@ -231,7 +245,7 @@ def multi_block_cases(draw):
     With a bandwidth wider than the range each window holds all n samples;
     with one of 0.1 to 1 range the windows differ in size, so blocks end at
     varied windows. Each sample then falls in 25 or more windows, so the
-    windows add up to several blocks of at most max(n, 2**12) samples.
+    windows add up to several blocks of at most max(n, 2**13) samples.
     """
     n = draw(st.integers(600, 3000))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -558,14 +572,10 @@ class TestPava:
         want = np.full(2, values.mean()) if pooled else values
         np.testing.assert_allclose(got, want, rtol=1e-15)
         assert np.all(np.diff(got) >= 0)
-        # By bytes: the scalar oracle takes the two infinities as equal and pools
-        # nothing, so a pooled pair is checked against its block sum instead.
-        if pooled:
-            want = np.full(2, np.sum(weights * values) / np.sum(weights))
-        else:
-            with np.errstate(over="ignore"):  # the oracle's cross products overflow
-                want = pava_scalar_oracle(values, weights)
+        with np.errstate(over="ignore"):  # the scalar oracle's cross products overflow
+            want = pava_scalar_oracle(values, weights)
         assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == pava_reduce_oracle(values, weights).tobytes()
 
 
 class TestDefaultBandwidth:
