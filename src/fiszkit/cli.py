@@ -137,7 +137,13 @@ def _bench_config(args) -> EstimatorConfig:
         raise ValueError(f"reps must be >= 1, got {args.reps}")
     _check_length(args.n)
     SeedSpec(args.seed)  # rejects a master seed outside the stream keys
-    return _estimator_config(args)
+    cfg = _estimator_config(args)
+    # bench reads no file, so a length its fit or its levels cannot take is a usage error
+    cfg.varfn.check_length(args.n)
+    depth = args.n.bit_length() - 1
+    if cfg.resolve_max_level(depth) > depth:
+        raise ValueError(f"max_level must be in [1, {depth}], got {cfg.max_level}")
+    return cfg
 
 
 def _add_estimator_flags(p: argparse.ArgumentParser, default_m: int) -> None:

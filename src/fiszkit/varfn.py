@@ -258,6 +258,14 @@ class VarFnConfig:
         elif not self.bandwidth > 0:  # also rejects NaN
             raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
 
+    def check_length(self, n: int) -> None:
+        """Reject a signal length below 2M + 1, the shortest the running mean can fit."""
+        min_len = 2 * self.half_window + 1
+        if n < min_len:
+            raise ValueError(f"signal of length {n} is too short for the variance fit: "
+                             f"half-window M = {self.half_window} needs at least 2M+1 = "
+                             f"{min_len} samples")
+
 
 @dataclass
 class VarianceEstimate:
@@ -323,11 +331,7 @@ def estimate_variance_function(x, cfg: VarFnConfig | None = None) -> VarianceEst
     """Fit the full variance-function pipeline to one signal."""
     cfg = cfg or VarFnConfig()
     x = as_signal(x)
-    min_len = 2 * cfg.half_window + 1
-    if x.size < min_len:
-        raise ValueError(f"signal of length {x.size} is too short for the variance fit: "
-                         f"half-window M = {cfg.half_window} needs at least 2M+1 = {min_len} "
-                         "samples")
+    cfg.check_length(x.size)
     fit = preliminary_fit(x, cfg.half_window)
     grid = np.linspace(fit.alpha_hat.min(), fit.alpha_hat.max(), cfg.grid_size)
     if isinstance(cfg.bandwidth, str):

@@ -85,15 +85,19 @@ class WaveletBasis:
         return g, h
 
 
+_BASES = {name: WaveletBasis(name, taps) for name, taps in _LOWPASS.items()}
+
+
 def haar() -> WaveletBasis:
     """The two-tap basis; the package default."""
-    return basis_by_name("haar")
+    return _BASES["haar"]
 
 
 def basis_by_name(name: str) -> WaveletBasis:
-    if name not in _LOWPASS:
+    """The one shared, validated basis of that name; the class is frozen, so sharing is safe."""
+    if name not in _BASES:
         raise ValueError(f"unknown wavelet basis {name!r}, choose from {list(BASIS_NAMES)}")
-    return WaveletBasis(name, _LOWPASS[name])
+    return _BASES[name]
 
 
 @dataclass
@@ -129,8 +133,13 @@ def _analysis_step(approx: np.ndarray, g: np.ndarray, h: np.ndarray | None):
     m = approx.shape[-1]
     if g.size == 2:
         a, b = approx[..., 0::2], approx[..., 1::2]
-        lo = (a + b) * g[0]
-        return lo if h is None else (lo, a * h[0] + b * h[1])
+        lo = a + b
+        lo *= g[0]
+        if h is None:
+            return lo
+        hi = a * h[0]
+        hi += b * h[1]
+        return lo, hi
     k = g.size - 2  # extend the row periodically by k samples, wrapping while m < k
     ext = np.concatenate([approx] * (1 + k // m) + [approx[..., :k % m]], axis=-1)
     taps = [ext[..., i:i + m:2] for i in range(g.size)]
@@ -146,12 +155,25 @@ def _analysis_step(approx: np.ndarray, g: np.ndarray, h: np.ndarray | None):
 
 def _synthesis_step(approx: np.ndarray, detail: np.ndarray, g: np.ndarray, h: np.ndarray):
     """Transpose of :func:`_analysis_step` along the last axis."""
+    return _synthesis_rows(approx, detail, g, h)[..., :2 * approx.shape[-1]]
+
+
+def _synthesis_rows(approx: np.ndarray, detail: np.ndarray, g: np.ndarray, h: np.ndarray):
+    """:func:`_synthesis_step`, the leading 2 * ``approx.shape[-1]`` columns of one new C array.
+
+    Longer filters leave the tail they folded back in the L - 2 columns after
+    the result, so the result is not copied out of them.
+    """
     half = approx.shape[-1]
     shape = approx.shape[:-1] + (2 * half,)
     if g.size == 2:
         out = np.empty(shape)
-        out[..., 0::2] = (approx + detail) * g[0]
-        out[..., 1::2] = approx * g[1] + detail * h[1]
+        acc = approx + detail
+        acc *= g[0]
+        out[..., 0::2] = acc
+        np.multiply(approx, g[1], out=acc)
+        acc += detail * h[1]
+        out[..., 1::2] = acc
         return out
     # tap i of coefficient k lands on 2k + i of a row L - 2 longer, which then folds back
     m = shape[-1]
@@ -161,7 +183,7 @@ def _synthesis_step(approx: np.ndarray, detail: np.ndarray, g: np.ndarray, h: np
     out = ext[..., :m]
     for c in range(m, ext.shape[-1], m):
         out[..., :min(m, ext.shape[-1] - c)] += ext[..., c:c + m]
-    return out
+    return ext
 
 
 def dwt_forward(x, basis: WaveletBasis | None = None) -> CoeffPyramid:
@@ -316,12 +338,19 @@ def cycle_spin(x, basis: WaveletBasis, shifts: int, max_level: int,
     analysed from its parent rotated by one sample. Synthesis goes back up
     the table and merges sibling rows, weighted by their shift counts: for
     q, m = divmod(shifts, 2^(d+1)), rows below m hold q + 1 shifts and the
-    rest q. Each depth holds at most n values: O(n log n) time and
-    memory for any ``shifts``.
+    rest q, and each merged parent is divided by its own count. Where m is 0,
+    every child holds q shifts and every parent 2q; both weights are first
+    divided by q's largest power-of-two factor, which scales each sum by a
+    power of two and changes no bit unless the unscaled sum would overflow.
+    Full averaging and every power-of-two shift count thus merge with one add
+    and one halving. Children are built, and rotated back onto their parents,
+    by one flat copy or add over the row block, then the wrapped column is
+    fixed. Each depth holds at most n values: O(n log n) time and memory for
+    any ``shifts``.
 
     Returns the averaged signal and, for the unshifted pass, the thresholds
-    and shrunk details of levels 0 .. max_level-1. Coefficients that
-    overflow raise one ValueError, with no numpy warning.
+    and shrunk details of levels 0 .. max_level-1. Coefficients or averaged
+    values that overflow raise one ValueError, with no numpy warning.
     """
     x = as_signal(x)
     n = x.size
@@ -338,8 +367,12 @@ def cycle_spin(x, basis: WaveletBasis, shifts: int, max_level: int,
         j = depth - 1 - d
         odd = min(shifts, 2 << d) - rows.shape[0]  # rows r + 2^d still below shifts
         if odd > 0:  # children: their parents rotated by one sample
-            table = np.empty((rows.shape[0] + odd, rows.shape[1]))
-            table[:-odd], table[-odd:, 0], table[-odd:, 1:] = rows, rows[:odd, -1], rows[:odd, :-1]
+            parents, width = rows.shape
+            table = np.empty((parents + odd, width))
+            table[:parents] = rows
+            flat = table.reshape(-1)
+            flat[parents * width + 1:] = flat[:odd * width - 1]  # row by row, column c to c + 1
+            table[parents:, 0] = rows[:odd, -1]  # the wrap, where the flat copy crossed rows
             rows = table
         if j >= max_level:
             rows = _analysis_step(rows, g, None)
@@ -350,14 +383,24 @@ def cycle_spin(x, basis: WaveletBasis, shifts: int, max_level: int,
         shrunk.append(shrink(detail, lam))
         first_thr.append(lam[0].copy())
     for d in reversed(range(depth)):
-        y = _synthesis_step(rows, 0.0 if shrunk[d] is None else shrunk[d], g, h)
+        ext = _synthesis_rows(rows, 0.0 if shrunk[d] is None else shrunk[d], g, h)
+        y = ext[:, :2 * rows.shape[1]]
         parents = min(shifts, 1 << d)
         odd = y.shape[0] - parents
-        _weigh(y, *divmod(shifts, 2 << d), y.shape[0], np.multiply)
+        q, m = divmod(shifts, 2 << d)
+        total = divmod(shifts, 1 << d)
+        if not m:  # equal classes of q shifts: q and 2q over q's power-of-two factor, exactly
+            p = q & -q
+            q, total = q // p, (2 * q // p, 0)
+        _weigh(y, q, m, y.shape[0], np.multiply)
         if odd:  # each child rotated back onto its parent
-            y[:odd, :-1] += y[parents:, 1:]
-            y[:odd, -1] += y[parents:, 0]
-        _weigh(y, *divmod(shifts, 1 << d), parents, np.divide)
+            wrap = y[:odd, -1] + y[parents:, 0]
+            # column c + 1 onto c over whole rows of ext; its columns past y are never read
+            w = ext.shape[1]
+            flat = ext.reshape(-1)
+            flat[:odd * w - 1] += flat[parents * w + 1:(parents + odd) * w]
+            y[:odd, -1] = wrap  # where the flat add crossed rows
+        _weigh(y, *total, parents, np.divide)
         rows = y[:parents]
     if not np.all(np.isfinite(rows[0])):
         raise ValueError(_COEFF_OVERFLOW)

@@ -1,7 +1,10 @@
 import codecs
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -9,14 +12,16 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fiszkit import (EstimatorConfig, NoiseModel, SeedSpec, estimate, make_blocks, make_bumps,
                      sample_noise, textio)
 from fiszkit.cli import main, read_series, write_series
+from fiszkit.signals import NOISE_KINDS
 from fiszkit.vst import divisors_from_lines
+from fiszkit.wavelet import BASIS_NAMES
 
 
 def run_cli(args):
@@ -282,6 +287,10 @@ INVALID_FLAGS = [
     ["bench", "--reps", 0, "--seed", 1],
     ["bench", "--reps", 1, "--seed", -1],
     ["bench", "--reps", 1, "--seed", 1, "--stride", 0],
+    # bench reads no file: its --n must suit the variance fit and --jstar
+    ["bench", "--reps", 1, "--seed", 1, "--n", 2],
+    ["bench", "--reps", 1, "--seed", 1, "--n", 4, "--M", 2],
+    ["bench", "--reps", 1, "--seed", 1, "--n", 8, "--jstar", 5],
     # one unshifted pass has no shifts for --stride to thin
     ["estimate", "--no-ti", "--stride", 16],
     ["bench", "--reps", 1, "--seed", 1, "--no-ti", "--stride", 16],
@@ -532,3 +541,80 @@ def test_import_leaves_the_process_pool_unloaded():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           check=True)
     assert done.stdout.strip() == "[]"
+
+
+ESTIMATE_FLAGS = st.tuples(
+    st.sampled_from(BASIS_NAMES).map(lambda b: ["--basis", b]),
+    st.sampled_from([[], ["--rule", "soft"]]),
+    st.sampled_from([[], ["--no-ti"], ["--stride", "16"]]),
+    st.sampled_from([[], ["--baseline"], *(["--known-h", law] for law in NOISE_KINDS)]),
+).map(lambda parts: ["estimate", *(flag for part in parts for flag in part)])
+CLI_RUNS = st.one_of(ESTIMATE_FLAGS, st.just(["varfn"]), st.just(["vst"]))
+# n values of one sign and scale: equal, uniform over [0.5, 30) or of mixed sign
+SERIES = st.tuples(
+    st.one_of(st.integers(1, 10).map(lambda k: 1 << k), st.just(12)),
+    st.sampled_from(["constant", "uniform", "mixed"]),
+    st.sampled_from([1.0, 5e-324, 1e-310, 1e300, -1e300, 1e305, -1e305]),
+    st.one_of(st.none(), st.sampled_from([np.nan, np.inf, -np.inf])),  # one injected value
+    st.integers(0, 2**32 - 1),
+)
+
+
+def _series(n, shape, scale, injected, seed):
+    rng = np.random.default_rng(seed)
+    x = np.full(n, 7.0) if shape == "constant" else rng.uniform(0.5, 30.0, size=n)
+    if shape == "mixed":
+        x *= rng.choice([-1.0, 1.0], size=n)
+    x *= scale
+    if injected is not None:
+        x[rng.integers(n)] = injected
+    return x
+
+
+def _written_values(path):
+    """Every number of a written file, '#' lines skipped, as one flat array."""
+    rows = [line.split() for line in Path(path).read_text().splitlines()
+            if not line.startswith("#")]
+    return np.array([float(v) for row in rows for v in row])
+
+
+@settings(max_examples=300)
+@given(CLI_RUNS, SERIES)
+@example(["estimate", "--known-h", "poisson"], (64, "mixed", 1.0, None, 0))
+@example(["vst"], (1024, "uniform", 1e300, None, 0))
+@example(["estimate", "--basis", "daub8", "--stride", "16"], (1024, "uniform", 1e305, None, 1))
+def test_any_run_exits_cleanly_with_finite_series(run, series):
+    # Every run of main ends in exit 0, 2 or 3 with no traceback. After exit 0
+    # every written series is finite and as long as the input. How well vst
+    # inverse recovers its input is not checked here.
+    x = _series(*series)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        write_series(tmp / "in.txt", x)
+        inverse = None
+        if run == ["vst"]:
+            run = ["vst", "forward", "--divisors", tmp / "div.txt"]
+            inverse = ["vst", "inverse", "--in", tmp / "out.txt", "--divisors", tmp / "div.txt",
+                       "--out", tmp / "back.txt"]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = _exit_code([*run, "--in", tmp / "in.txt", "--out", tmp / "out.txt"])
+            if code == 0 and inverse:
+                code = _exit_code(inverse)
+        event(f"{run[0]} exit {code}")
+        assert code in (0, 2, 3), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code:
+            return
+        series = {"estimate": ["out.txt"], "varfn": [], "vst": ["out.txt", "back.txt"]}[run[0]]
+        for name in series:
+            assert read_series(tmp / name).shape == x.shape, name
+        for name in {"estimate": series, "varfn": ["out.txt"], "vst": [*series, "div.txt"]}[run[0]]:
+            assert np.all(np.isfinite(_written_values(tmp / name))), name
+
+
+def _exit_code(argv):
+    try:
+        return run_cli(argv)
+    except SystemExit as exc:  # argparse's usage error
+        return exc.code

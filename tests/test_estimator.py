@@ -446,7 +446,10 @@ class TestEstimate:
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("basis", [haar(), basis_by_name("daub4")], ids=lambda b: b.name)
-    @pytest.mark.parametrize("shifts", [1, 2, 3, 5, 7, 127, 128, 682, 2047, 2048])
+    # 96 = 3 * 2^5, 384 = 3 * 2^7, 640 = 5 * 2^7 and 1536 = 3 * 2^9: at their shallow
+    # depths the equal class counts have an odd factor, so the scaling is partial
+    @pytest.mark.parametrize("shifts", [1, 2, 3, 5, 7, 96, 127, 128, 384, 640, 682, 1536, 2047,
+                                        2048])
     def test_cycle_spin_merge_is_bit_exact(self, shifts, basis):
         x = sample_noise(make_blocks(2048, 1.0, 22.6), NoiseModel("poisson"), SeedSpec(66, 1))
         for mode in ("known", "fitted", "mad"):
@@ -816,6 +819,20 @@ class TestScaling:
             assert got.tobytes() == (scale * want).tobytes()
         mad = baseline_mad_estimate(x, cfg)
         assert baseline_mad_estimate(scale * x, cfg).tobytes() == (scale * mad).tobytes()
+
+    @pytest.mark.parametrize("basis", ["haar", "daub4"])
+    @pytest.mark.parametrize("k", [1010, 1012])
+    def test_scale_near_the_float_maximum_is_exact(self, basis, k):
+        # Under full averaging every merge is one add and one halving, so no
+        # sum exceeds twice an average: x * 2^1010 would overflow as q x at
+        # q = 1024 shifts a class, but the average scales exactly.
+        x = sample_noise(make_blocks(2048, 1.0, 22.6), NoiseModel("poisson"), SeedSpec(66, 1))
+        cfg = EstimatorConfig(basis=basis_by_name(basis))
+        scale = 2.0 ** k
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = baseline_mad_estimate(scale * x, cfg)
+        assert got.tobytes() == (scale * baseline_mad_estimate(x, cfg)).tobytes()
 
 
 class TestCircularShift:
