@@ -10,7 +10,6 @@ from .varfn import (PreliminaryFit, VarFnConfig, VarianceEstimate, default_bandw
                     estimate_variance_function, nw_variance_raw, pava_isotone,
                     preliminary_fit, running_mean, triangular_kernel)
 from .vst import VstState, denoise_via_vst, forward_vst, inverse_vst
-from .wavelet import (CoeffPyramid, WaveletBasis, dwt_forward, dwt_inverse, haar,
-                      local_means, wavelet_vector)
+from .wavelet import CoeffPyramid, WaveletBasis, dwt_forward, dwt_inverse, haar, local_means
 
 __version__ = "0.1.0"

@@ -16,8 +16,9 @@ Alongside the transform proper, :func:`local_means` computes, for every
 detail coefficient, the uniform average of the data over the support of
 that coefficient's wavelet vector. That support starts at the
 coefficient's first sample, (k - 1) 2^(J-j), and its length per level is
-found once per (basis, length) and cached. For Haar the means are rescaled
-scaling coefficients.
+found once per (basis, length) and cached, by synthesising the level's
+first wavelet vector directly from its one detail coefficient. For Haar the
+means are rescaled scaling coefficients.
 
 :func:`cycle_spin` is the one shift-averaging engine: it thresholds every
 circular shift of a signal and averages the results through a
@@ -42,7 +43,6 @@ __all__ = [
     "local_means",
     "shifted_local_means",
     "cycle_spin",
-    "wavelet_vector",
     "BASIS_NAMES",
 ]
 
@@ -153,13 +153,9 @@ def _analysis_step(approx: np.ndarray, g: np.ndarray, h: np.ndarray | None):
     return lo if h is None else (lo, filtered(h))
 
 
-def _synthesis_step(approx: np.ndarray, detail: np.ndarray, g: np.ndarray, h: np.ndarray):
-    """Transpose of :func:`_analysis_step` along the last axis."""
-    return _synthesis_rows(approx, detail, g, h)[..., :2 * approx.shape[-1]]
-
-
 def _synthesis_rows(approx: np.ndarray, detail: np.ndarray, g: np.ndarray, h: np.ndarray):
-    """:func:`_synthesis_step`, the leading 2 * ``approx.shape[-1]`` columns of one new C array.
+    """The transpose of :func:`_analysis_step` along the last axis, as the leading
+    2 * ``approx.shape[-1]`` columns of one new C array.
 
     Longer filters leave the tail they folded back in the L - 2 columns after
     the result, so the result is not copied out of them.
@@ -205,35 +201,29 @@ def dwt_inverse(p: CoeffPyramid, basis: WaveletBasis | None = None) -> np.ndarra
     for detail in p.details:
         if detail.size != approx.size:
             raise ValueError("malformed pyramid: level sizes must double")
-        approx = _synthesis_step(approx, detail, g, h)
+        approx = _synthesis_rows(approx, detail, g, h)[:2 * approx.size]
     return approx
-
-
-def wavelet_vector(basis: WaveletBasis, n: int, j: int, k: int) -> np.ndarray:
-    """The discrete basis vector of detail coefficient (j, k), k 1-based.
-
-    ``j = -1`` returns the vector of the smooth coefficient.
-    """
-    J = n.bit_length() - 1
-    details = [np.zeros(1 << lvl) for lvl in range(J)]
-    smooth = 0.0
-    if j == -1:
-        smooth = 1.0
-    else:
-        details[j][k - 1] = 1.0
-    return dwt_inverse(CoeffPyramid(details, smooth), basis)
 
 
 @lru_cache(maxsize=None)
 def _support_lengths(basis: WaveletBasis, n: int) -> tuple[int, ...]:
     """Per level j: the support length of the k=1 wavelet vector, which starts at sample 0.
 
-    It runs to the last entry above 1e-12 x the peak. Coefficient k's support is the
-    same one rotated by (k - 1) 2^(J-j), by the periodic decimated cascade.
+    The vector is synthesised from the one-hot level-j detail over a zero approximation,
+    then through zero details up to length n; the coarser levels would only add exact
+    zeros. It runs to the last entry above 1e-12 x the peak. Coefficient k's support is
+    the same one rotated by (k - 1) 2^(J-j), by the periodic decimated cascade.
     """
+    g, h = basis.filter_pair()
     lengths = []
     for j in range(n.bit_length() - 1):
-        v = np.abs(wavelet_vector(basis, n, j, 1))
+        v = np.zeros(1 << j)
+        detail = v.copy()
+        detail[0] = 1.0
+        while v.size < n:
+            v = _synthesis_rows(v, detail, g, h)[:2 * v.size]
+            detail = 0.0
+        v = np.abs(v)
         lengths.append(int(np.flatnonzero(v > 1e-12 * np.max(v))[-1]) + 1)
     return tuple(lengths)
 

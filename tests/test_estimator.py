@@ -17,7 +17,7 @@ from fiszkit import (EstimatorConfig, NoiseModel, SeedSpec, VarianceEstimate,
                      thresholds_data_driven, thresholds_known_h, universal_factor)
 from fiszkit.estimator import (_NETWORK_WIDTH, MAD_TO_SIGMA, _mad_window, _middle, _running_mad,
                                _sort_columns, coefficient_sd)
-from fiszkit.wavelet import (BASIS_NAMES, _analysis_step, _checked_thresholds, _synthesis_step,
+from fiszkit.wavelet import (BASIS_NAMES, _analysis_step, _checked_thresholds, _synthesis_rows,
                              basis_by_name, cycle_spin, shifted_local_means)
 
 H_POISSON = lambda u: np.asarray(u, dtype=float)
@@ -120,7 +120,7 @@ def cycle_spin_arange_weights(x, basis, shifts, max_level, threshold_fn, shrink)
         first_thr.append(lam[0].copy())
     for d in reversed(range(depth)):
         detail = shrunk[d] if shrunk[d] is not None else np.zeros_like(rows)
-        y = _synthesis_step(rows, detail, g, h)
+        y = _synthesis_rows(rows, detail, g, h)[:, :2 * rows.shape[1]]
         parents = min(shifts, 1 << d)
         odd = y.shape[0] - parents
         if odd:

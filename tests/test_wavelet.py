@@ -7,12 +7,24 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fiszkit import (CoeffPyramid, dwt_forward, dwt_inverse, haar, local_means, make_blocks,
-                     wavelet_vector)
+import fiszkit
+from fiszkit import (CoeffPyramid, EstimatorConfig, NoiseModel, SeedSpec, baseline_mad_estimate,
+                     cli, dwt_forward, dwt_inverse, estimate, estimate_variance_function,
+                     estimator, forward_vst, haar, inverse_vst, local_means, make_blocks,
+                     sample_noise, vst)
+from fiszkit import wavelet as wavelet_module
 from fiszkit.wavelet import (BASIS_NAMES, WaveletBasis, _analysis_step, _support_lengths,
-                             _synthesis_step, basis_by_name, shifted_local_means)
+                             _synthesis_rows, basis_by_name, shifted_local_means)
 
 ALL_BASES = [basis_by_name(name) for name in BASIS_NAMES]
+
+
+def wavelet_vector(basis, n, j, k):
+    """Oracle: the discrete basis vector of detail coefficient (j, k), k 1-based, by
+    :func:`dwt_inverse` of a one-hot pyramid."""
+    details = [np.zeros(1 << level) for level in range(n.bit_length() - 1)]
+    details[j][k - 1] = 1.0
+    return dwt_inverse(CoeffPyramid(details), basis)
 
 
 def min_cyclic_support(v):
@@ -178,7 +190,8 @@ class TestTransform:
             for got, want in zip(_analysis_step(x, g, h), analysis_step_gather(x, g, h)):
                 assert got.shape == want.shape
                 assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(x))
-            got, want = _synthesis_step(x, y, g, h), synthesis_step_scatter(x, y, g, h)
+            got = _synthesis_rows(x, y, g, h)[..., :2 * x.shape[-1]]
+            want = synthesis_step_scatter(x, y, g, h)
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-15 * max(np.max(np.abs(x)), np.max(np.abs(y)))
 
@@ -256,6 +269,32 @@ class TestLocalMeans:
             supports = [min_cyclic_support(wavelet_vector(basis, n, j, 1))
                         for j in range(n.bit_length() - 1)]
             assert supports == [(0, length) for length in _support_lengths(basis, n)], n
+
+
+def test_production_paths_never_use_the_pyramid_api(tmp_path, monkeypatch):
+    # each call starts from an empty support cache, so the support search runs too
+    def refuse(*args, **kwargs):
+        raise AssertionError("a production path used the pyramid API")
+
+    for module in (fiszkit, wavelet_module, estimator, vst, cli):
+        for name in ("CoeffPyramid", "dwt_forward", "dwt_inverse"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    x = sample_noise(make_blocks(512, 1.0, 22.6), NoiseModel("poisson"), SeedSpec(3))
+    path = tmp_path / "x.txt"
+    cli.write_series(path, x)
+
+    def cli_estimate(basis):
+        assert cli.main(["estimate", "--in", str(path), "--out", str(tmp_path / "y.txt"),
+                         "--basis", basis.name]) == 0
+
+    for basis in ALL_BASES:
+        for call in (lambda: estimate(x, EstimatorConfig(basis=basis)),
+                     lambda: baseline_mad_estimate(x, EstimatorConfig(basis=basis)),
+                     lambda: inverse_vst(*forward_vst(x, estimate_variance_function(x), basis)),
+                     lambda: cli_estimate(basis)):
+            _support_lengths.cache_clear()
+            call()
 
 
 def gather_means_oracle(x, basis):
