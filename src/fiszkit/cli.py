@@ -3,7 +3,9 @@
 File conventions (see ``fiszkit.textio``): one decimal value per line, '.'
 decimal separator, LF endings (CRLF is read too), whole-line '#' comments.
 A UTF-8 byte-order mark at the start of a file is skipped. Every file is
-written by ``write_lines``, from LF-ended lines or blocks of lines. Exit codes: 0 success, 2 usage error, 3 data error. ``FISZKIT_THREADS``
+written by ``write_lines``, from LF-ended lines or blocks of lines.
+
+Exit codes: 0 success, 2 usage error, 3 data error. ``FISZKIT_THREADS``
 caps how many worker processes the benchmark may use; results are
 independent of that setting.
 """

@@ -191,7 +191,8 @@ def estimate(x, cfg: EstimatorConfig | None = None) -> EstimateResult:
     """
     cfg = cfg or EstimatorConfig()
     x = as_signal(x)
-    fitted = None if cfg.known_variance else estimate_variance_function(x, cfg.varfn)
+    known = cfg.known_variance
+    fitted = None if known is not None else estimate_variance_function(x, cfg.varfn)
     means = shifted_local_means(x, cfg.basis)
     # No range check on the fitted sd: its table is finite (PAVA checks) and >= floor_eps > 0
     # (the fit floors it), and the local means are finite (as_signal, the prefix-sum check).
@@ -199,10 +200,10 @@ def estimate(x, cfg: EstimatorConfig | None = None) -> EstimateResult:
 
     def level_sd(j, rows):
         lm = means(j, rows.shape[0])
-        return sd[fitted.step_index(lm)] if fitted else coefficient_sd(lm, cfg.known_variance, j)
+        return sd[fitted.step_index(lm)] if known is None else coefficient_sd(lm, known, j)
 
     values, thr, surv, shifts = _denoise(x, cfg, level_sd)
-    return EstimateResult(values, thr, surv, cfg.known_variance or fitted, shifts)
+    return EstimateResult(values, thr, surv, fitted if known is None else known, shifts)
 
 
 def _running_mad(values: np.ndarray, window: int) -> np.ndarray:

@@ -13,6 +13,7 @@ multiplicative) or a constant ``sigma**2`` (additive gaussian).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,7 +129,8 @@ class SeedSpec:
 
     Distinct (master_seed, replication_index) pairs map to distinct Philox
     keys, so replications get statistically independent streams with no
-    shared state.
+    shared state. Both fields are stored as Python ints, so numpy integers
+    key the same stream as their Python twins.
     """
 
     master_seed: int
@@ -137,8 +139,13 @@ class SeedSpec:
     def __post_init__(self):
         for name in ("master_seed", "replication_index"):
             v = getattr(self, name)
+            try:
+                v = operator.index(v)  # np.int64(r) << 64 would wrap to 0
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {v!r}") from None
             if not 0 <= v <= _MASK64:
                 raise ValueError(f"{name} must be a 64-bit unsigned integer, got {v}")
+            object.__setattr__(self, name, v)
 
     def generator(self) -> np.random.Generator:
         key = (self.replication_index << 64) | self.master_seed

@@ -272,7 +272,11 @@ class VarianceEstimate:
     """Nondecreasing step estimate of the mean-to-variance map.
 
     ``grid_u`` holds the left knots; queries clamp to the end values
-    outside the grid. All values are >= ``floor_eps`` > 0.
+    outside the grid. A fit's values are all >= ``floor_eps`` > 0.
+
+    The knots must be finite and nondecreasing, one value per knot, and
+    ``floor_eps`` finite and >= 0; the values themselves are checked where a
+    lookup uses them.
     """
 
     grid_u: np.ndarray
@@ -281,6 +285,19 @@ class VarianceEstimate:
     bandwidth: float = float("nan")
     half_window: int = -1
     populated: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        self.grid_u = g = np.asarray(self.grid_u, dtype=float)
+        self.values = np.asarray(self.values, dtype=float)
+        if g.ndim != 1 or not g.size or self.values.shape != g.shape:
+            raise ValueError("grid_u and values must be 1-D and of the same nonzero length, "
+                             f"got shapes {g.shape} and {self.values.shape}")
+        if not np.isfinite(g).all():
+            raise ValueError("grid_u must be finite")
+        if (g[1:] < g[:-1]).any():
+            raise ValueError("grid_u must be nondecreasing")
+        if not 0 <= self.floor_eps < np.inf:  # also rejects NaN
+            raise ValueError(f"floor_eps must be finite and >= 0, got {self.floor_eps}")
 
     def step_index(self, u) -> np.ndarray:
         """``np.searchsorted(grid_u[1:], u, side="right")`` on any sorted grid, 0 where u is NaN.
@@ -338,7 +355,8 @@ def estimate_variance_function(x, cfg: VarFnConfig | None = None) -> VarianceEst
         bandwidth = default_bandwidth(fit.alpha_hat, cfg.grid_size)
     else:
         bandwidth = float(cfg.bandwidth)
-    raw, populated = nw_variance_raw(fit, bandwidth, grid)
+    with np.errstate(over="ignore"):  # an overflowing kernel sum is reported below
+        raw, populated = nw_variance_raw(fit, bandwidth, grid)
     if not np.all(np.isfinite(raw)):
         raise ValueError("smoothed variance is not finite: kernel sums of squared residuals "
                          "overflow at this data scale")

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fiszkit import (EstimatorConfig, NoiseModel, SeedSpec, estimate, make_blocks, make_bumps,
-                     sample_noise, textio)
+                     make_doppler, make_heavisine, sample_noise, textio)
 from fiszkit.cli import main, read_series, write_series
 from fiszkit.signals import NOISE_KINDS
 from fiszkit.vst import divisors_from_lines
@@ -151,6 +151,17 @@ class TestSimulate:
         assert truth.size == noisy.size == 2048
         assert truth.min() == pytest.approx(1.0)
         assert truth.max() == pytest.approx(22.6)
+
+    @pytest.mark.parametrize("signal, make", [("doppler", make_doppler),
+                                              ("heavisine", make_heavisine)])
+    def test_extra_signals_match_the_library(self, signal, make, tmp_path):
+        assert run_cli(["simulate", "--signal", signal, "--n", 256, "--min", 2, "--max", 9,
+                        "--noise", "poisson", "--seed", 5, "--rep", 1,
+                        "--out", tmp_path / "a"]) == 0
+        truth = make(256, 2.0, 9.0)
+        assert read_series(tmp_path / "a_truth.txt").tobytes() == truth.tobytes()
+        noisy = sample_noise(truth, NoiseModel("poisson"), SeedSpec(5, 1))
+        assert read_series(tmp_path / "a_noisy.txt").tobytes() == noisy.tobytes()
 
     def test_byte_identical_reruns(self, tmp_path):
         args = ["simulate", "--signal", "bumps", "--n", 512, "--min", 3,

@@ -328,6 +328,8 @@ class TestApplyThreshold:
             apply_threshold(p, [np.zeros(1)], "hard", 2)  # missing level 1
         with pytest.raises(ValueError):
             apply_threshold(p, [np.zeros(1), np.zeros(3)], "hard", 2)  # wrong shape
+        with pytest.raises(ValueError, match="^max_level 5 exceeds pyramid depth 4$"):
+            apply_threshold(p, [np.zeros(1 << j) for j in range(5)], "hard", 5)
 
 
 class TestEstimate:
@@ -393,6 +395,24 @@ class TestEstimate:
                 np.testing.assert_array_equal(a, b)
             np.testing.assert_allclose(r3.values, 3.0 * r1.values,
                                        atol=1e-9 * np.max(np.abs(r1.values)))
+
+    def test_known_law_with_false_truth_value_is_used(self):
+        # a law whose truth value is False used to be replaced by a fitted one
+        class EmptyLookingLaw:
+            def __call__(self, u):
+                return np.asarray(u, dtype=float)
+
+            def __len__(self):
+                return 0
+
+        law = EmptyLookingLaw()
+        assert not law
+        x = sample_noise(make_blocks(256, 1.0, 22.6), NoiseModel("poisson"), SeedSpec(57, 1))
+        res = estimate(x, EstimatorConfig(known_variance=law))
+        want = estimate(x, EstimatorConfig(known_variance=H_POISSON))
+        assert res.variance_fn is law
+        assert res.values.tobytes() == want.values.tobytes()
+        assert [t.tobytes() for t in res.thresholds] == [t.tobytes() for t in want.thresholds]
 
     def test_known_vs_data_driven_survivors_mostly_agree(self):
         truth = make_blocks(2048, 1.0, 22.6)

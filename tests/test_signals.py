@@ -1,9 +1,13 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
 from fiszkit import (EXPONENTIAL, GAUSSIAN, POISSON, NoiseModel, SeedSpec,
-                     make_blocks, make_bumps, rescale_to_range, sample_noise,
-                     true_variance_function)
+                     make_blocks, make_bumps, make_doppler, make_heavisine,
+                     rescale_to_range, sample_noise, true_variance_function)
+from fiszkit.signals import as_signal
 
 # Independent scalar evaluation of the published signal formulas; kept as
 # plain loops so the generators are checked against a second code path.
@@ -13,15 +17,31 @@ BUMPS_H = [4.0, 5.0, 3.0, 4.0, 5.0, 4.2, 2.1, 4.3, 3.1, 5.1, 4.2]
 BUMPS_W = [0.005, 0.005, 0.006, 0.01, 0.01, 0.03, 0.01, 0.01, 0.005, 0.008, 0.005]
 
 
+def sign(v):
+    return 0.0 if v == 0 else (1.0 if v > 0 else -1.0)
+
+
 def blocks_raw_scalar(t):
-    def sign(v):
-        return 0.0 if v == 0 else (1.0 if v > 0 else -1.0)
     return sum(h * (1 + sign(t - tj)) / 2 for h, tj in zip(BLOCKS_H, T_J))
 
 
 def bumps_raw_scalar(t):
     return sum(h * (1 + abs((t - tj) / w)) ** -4
                for h, tj, w in zip(BUMPS_H, T_J, BUMPS_W))
+
+
+def doppler_raw_scalar(t):
+    return math.sqrt(t * (1 - t)) * math.sin(2 * math.pi * 1.05 / (t + 0.05))
+
+
+def heavisine_raw_scalar(t):
+    return 4 * math.sin(4 * math.pi * t) - sign(t - 0.3) - sign(0.72 - t)
+
+
+def rescaled_scalar(raw, lo, hi):
+    """The rescaling formula of ``docs/signal_constants.md``, value by value."""
+    f_min, f_max = min(raw), max(raw)
+    return [lo + (hi - lo) * (f - f_min) / (f_max - f_min) for f in raw]
 
 
 class TestGenerators:
@@ -62,6 +82,26 @@ class TestGenerators:
         raw = [bumps_raw_scalar(i / n) for i in range(1, n + 1)]
         s = make_bumps(n, 3.0, 23.21)
         assert int(np.argmax(s)) == int(np.argmax(raw))
+
+    @pytest.mark.parametrize("make, raw_scalar", [(make_doppler, doppler_raw_scalar),
+                                                  (make_heavisine, heavisine_raw_scalar)],
+                             ids=["doppler", "heavisine"])
+    def test_extra_signals_against_scalar_formula(self, make, raw_scalar):
+        n = 1024
+        want = rescaled_scalar([raw_scalar(i / n) for i in range(1, n + 1)], 2.0, 9.0)
+        got = make(n, 2.0, 9.0)
+        assert got.shape == (n,)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        assert got.min() == 2.0 and got.max() == 9.0
+
+    def test_constant_signal_cannot_be_rescaled(self):
+        with pytest.raises(ValueError, match="cannot rescale a constant signal"):
+            rescale_to_range(np.full(8, 3.0), 0.0, 1.0)
+
+    def test_signal_must_be_one_dimensional(self):
+        message = "signal must be one-dimensional, got shape (2, 4)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            as_signal(np.ones((2, 4)))
 
     def test_affine_rescale_composes(self):
         s = make_bumps(256, 0.0, 1.0)
@@ -153,6 +193,28 @@ class TestSeedSpec:
             SeedSpec(1 << 64)
         with pytest.raises(ValueError):
             SeedSpec(0, -2)
+
+    def test_numpy_integers_key_the_python_stream(self):
+        # np.int64(r) << 64 wraps to 0, so every replication used to draw replication 0
+        truth = make_bumps(64, 3.0, 23.21)
+        draws = []
+        for r in np.arange(4):
+            a = sample_noise(truth, NoiseModel(POISSON), SeedSpec(np.int64(1), r)).tobytes()
+            assert a == sample_noise(truth, NoiseModel(POISSON), SeedSpec(1, int(r))).tobytes()
+            draws.append(a)
+        assert len(set(draws)) == 4
+        spec = SeedSpec(np.uint64(2**64 - 1), np.int32(2))
+        assert spec == SeedSpec(2**64 - 1, 2)
+        assert type(spec.master_seed) is int and type(spec.replication_index) is int
+        assert spec.generator().random() == SeedSpec(2**64 - 1, 2).generator().random()
+
+    @pytest.mark.parametrize("bad", [1.5, "3", np.float64(2.0)])
+    def test_non_integers_rejected(self, bad):
+        message = f"master_seed must be an integer, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SeedSpec(bad)
+        with pytest.raises(ValueError, match="^replication_index must be an integer"):
+            SeedSpec(1, bad)
 
     def test_noise_kind_validated(self):
         with pytest.raises(ValueError):

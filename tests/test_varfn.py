@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -291,6 +292,10 @@ class TestRunningMean:
         with pytest.raises(ValueError):
             running_mean(np.arange(4.0), 2)
 
+    def test_negative_half_window_rejected(self):
+        with pytest.raises(ValueError, match="^half_window must be >= 0, got -1$"):
+            running_mean(np.arange(4.0), -1)
+
 
 class TestKernelSmoother:
     def test_kernel_shape(self):
@@ -561,6 +566,8 @@ class TestPava:
         with pytest.raises(ValueError, match="weighted sums overflow"):
             pava_isotone(np.array([1.7e308, 1.0e308]))
         assert pava_isotone(np.array([])).tobytes() == b""
+        with pytest.raises(ValueError, match="^values must be one-dimensional$"):
+            pava_isotone(np.ones((2, 3)))
 
     @pytest.mark.parametrize("values, pooled", [([2e150, 1e150], True), ([-1e150, -2e150], True),
                                                 ([1e150, 2e150], False)])
@@ -618,6 +625,33 @@ class TestEstimatePipeline:
         est = estimate_variance_function(x, VarFnConfig(half_window=3))
         assert np.all(np.diff(est.values) >= 0)
         assert np.all(est.values >= est.floor_eps)
+
+    @pytest.mark.parametrize("grid, values, floor_eps, message", [
+        ([], [], 1e-9, "grid_u and values must be 1-D and of the same nonzero length, "
+                       "got shapes (0,) and (0,)"),
+        ([0.0, 1.0, 2.0], [1.0, 2.0], 1e-9, "grid_u and values must be 1-D and of the same "
+                                            "nonzero length, got shapes (3,) and (2,)"),
+        ([[0.0, 1.0]], [[1.0, 2.0]], 1e-9, "grid_u and values must be 1-D and of the same "
+                                           "nonzero length, got shapes (1, 2) and (1, 2)"),
+        ([0.0, np.inf], [1.0, 2.0], 1e-9, "grid_u must be finite"),
+        ([np.nan, 1.0], [1.0, 2.0], 1e-9, "grid_u must be finite"),
+        ([2.0, 0.0, 1.0], [1.0, 2.0, 3.0], 1e-9, "grid_u must be nondecreasing"),
+        ([0.0, 1.0], [1.0, 2.0], -1e-9, "floor_eps must be finite and >= 0, got -1e-09"),
+        ([0.0, 1.0], [1.0, 2.0], np.inf, "floor_eps must be finite and >= 0, got inf"),
+        ([0.0, 1.0], [1.0, 2.0], np.nan, "floor_eps must be finite and >= 0, got nan"),
+    ], ids=["empty", "short-values", "2-d", "inf-knot", "nan-knot", "unsorted", "negative-floor",
+            "inf-floor", "nan-floor"])
+    def test_malformed_estimate_rejected(self, grid, values, floor_eps, message):
+        # each used to fail later, or to give wrong steps: an empty grid raised IndexError
+        # in query, 2 values on 3 knots misaligned the VST divisors, and knots [2, 0, 1]
+        # gave query([0.5, 1.5]) == [2, 3]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            VarianceEstimate(np.array(grid), np.array(values), floor_eps)
+
+    def test_estimate_takes_float_arrays_and_leaves_values_unchecked(self):
+        est = VarianceEstimate([0, 1, 1, 2], [1, -2, np.inf, np.nan], 0.0)
+        assert est.grid_u.dtype == est.values.dtype == np.float64
+        assert est.query(1.5) == np.inf  # the lookups report bad steps level by level
 
     def test_query_clamps_and_is_monotone(self):
         est = VarianceEstimate(np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0, 9.0]), 1e-8)
@@ -736,6 +770,12 @@ class TestEstimatePipeline:
         grid, values = np.loadtxt(lines, unpack=True)
         assert grid.tobytes() == est.grid_u.tobytes()
         assert values.tobytes() == est.values.tobytes()
+
+    def test_overflowing_kernel_sums_rejected(self):
+        # every squared residual, 16/9 (5e153)^2, is finite; their kernel sums are not
+        x = 5e153 * (-1.0) ** np.arange(64)
+        with pytest.raises(ValueError, match="^smoothed variance is not finite"):
+            estimate_variance_function(x, VarFnConfig(half_window=1))
 
     def test_overflowing_residuals_rejected(self):
         truth = make_blocks(256, 1.0, 22.6)

@@ -350,6 +350,12 @@ class TestBasis:
     def test_bad_filter_rejected(self):
         with pytest.raises(ValueError):
             WaveletBasis("broken", (0.9, 0.1))
+        for taps in ((1.0,), (0.6, 0.0, 0.8)):
+            with pytest.raises(ValueError, match="^filter length must be even and >= 2$"):
+                WaveletBasis("odd", taps)
+        # normalised, but orthogonal to no even shift of itself
+        with pytest.raises(ValueError, match="^filter 'flat' violates even-shift orthogonality$"):
+            WaveletBasis("flat", (0.5, 0.5, 0.5, 0.5))
 
     def test_unknown_names_rejected(self):
         for name in ("sym5", "daub2", "daub04", "daub"):
