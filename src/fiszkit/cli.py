@@ -258,9 +258,7 @@ class BenchReport:
 
 
 def _bench_worker(task) -> tuple[float, float]:
-    signal, noise, n, master_seed, rep, cfg = task
-    lo, hi = BENCH_RANGES[signal]
-    truth = SIGNAL_GENERATORS[signal](n, lo, hi)
+    truth, noise, master_seed, rep, cfg = task
     x = sample_noise(truth, NoiseModel(noise), SeedSpec(master_seed, rep))
     wf = estimate(x, cfg).values
     base = baseline_mad_estimate(x, cfg)
@@ -278,7 +276,9 @@ def run_bench(reps: int, n: int, master_seed: int, cfg: EstimatorConfig) -> Benc
     and results are gathered by task order, so parallelism cannot change
     the report.
     """
-    tasks = [(signal, noise, n, master_seed, rep, cfg)
+    truths = {signal: SIGNAL_GENERATORS[signal](n, lo, hi)
+              for signal, (lo, hi) in BENCH_RANGES.items()}
+    tasks = [(truths[signal], noise, master_seed, rep, cfg)
              for signal, noise in BENCH_CELLS
              for rep in range(1, reps + 1)]
     workers = worker_count()

@@ -13,9 +13,10 @@ any shift count, with a translation-invariant table in O(n log n) time
 and memory instead of one transform per shift; with
 ``translation_invariant=False`` the same engine runs the single unshifted
 pass. The local means, and h, are evaluated only at the coefficients the
-table holds. The fitted h is a step function, so its square root is taken
-once per fit and each level gathers its sd from that table at the steps of
-its local means (:meth:`fiszkit.varfn.VarianceEstimate.step_index`).
+table holds. The fitted h is a step function, so each ``estimate`` call
+builds one table of step thresholds, sqrt(h) * sqrt(2 log N), and each level
+gathers its thresholds from that table at the steps of its local means
+(:meth:`fiszkit.varfn.VarianceEstimate.step_index`).
 
 A running-MAD comparator shares the same pipeline but derives thresholds
 from a robust per-level scale estimate of the coefficients themselves,
@@ -25,6 +26,7 @@ ignoring any mean-variance link.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from math import log, sqrt
 from typing import Callable, Optional, Union
 
@@ -52,6 +54,7 @@ __all__ = [
 MAD_TO_SIGMA = 1.4826  # normal-consistency constant for the MAD
 
 
+@cache  # every thresholded level of every call asks for it
 def universal_factor(max_level: int) -> float:
     """sqrt(2 log N) for the N = 2^max_level - 1 detail coefficients of levels < max_level.
 
@@ -132,7 +135,7 @@ def coefficient_sd(lm, h: Callable, level: int) -> np.ndarray:
     if hv.shape != np.shape(lm):
         raise ValueError(f"variance map returned shape {hv.shape} at level {level}, "
                          f"expected {np.shape(lm)}")
-    if not sd.max() < np.inf:  # a negative variance gives a NaN sd, and max propagates NaN
+    if not np.maximum.reduce(sd, axis=None) < np.inf:  # a negative variance's NaN sd propagates
         raise ValueError(f"variance map returned negative or non-finite values at level {level}")
     return sd
 
@@ -162,8 +165,9 @@ def apply_threshold(p: CoeffPyramid, thresholds: list[np.ndarray], rule: str,
     return CoeffPyramid(details, p.smooth)
 
 
-def _denoise(x: np.ndarray, cfg: EstimatorConfig, level_sd: Callable):
-    """Shift-averaged thresholding at ``level_sd(j, rows) * sqrt(2 log N)``.
+def _denoise(x: np.ndarray, cfg: EstimatorConfig, level_thresholds: Callable):
+    """Shift-averaged thresholding at ``level_thresholds(j, rows, factor)``, the level-j
+    sds times factor = sqrt(2 log N).
 
     Returns the estimate, the thresholds and survivor masks of the unshifted
     pass, and the number of shifts averaged.
@@ -176,7 +180,7 @@ def _denoise(x: np.ndarray, cfg: EstimatorConfig, level_sd: Callable):
     shifts = max(1, n // cfg.shift_stride) if cfg.translation_invariant else 1
 
     def threshold_fn(j, rows):  # called only after cycle_spin has checked max_level
-        return level_sd(j, rows) * universal_factor(max_level)
+        return level_thresholds(j, rows, universal_factor(max_level))
 
     values, thr, shrunk = cycle_spin(x, cfg.basis, shifts, max_level, threshold_fn,
                                      _RULES[cfg.rule])
@@ -196,13 +200,18 @@ def estimate(x, cfg: EstimatorConfig | None = None) -> EstimateResult:
     means = shifted_local_means(x, cfg.basis)
     # No range check on the fitted sd: its table is finite (PAVA checks) and >= floor_eps > 0
     # (the fit floors it), and the local means are finite (as_signal, the prefix-sum check).
-    sd = None if fitted is None else np.sqrt(fitted.values)
+    table = None  # the threshold of each fitted step, sqrt(values) * factor
 
-    def level_sd(j, rows):
+    def level_thresholds(j, rows, factor):
+        nonlocal table
         lm = means(j, rows.shape[0])
-        return sd[fitted.step_index(lm)] if known is None else coefficient_sd(lm, known, j)
+        if known is not None:
+            return coefficient_sd(lm, known, j) * factor
+        if table is None:  # the factor is the same at every level
+            table = np.sqrt(fitted.values) * factor
+        return table[fitted.step_index(lm)]
 
-    values, thr, surv, shifts = _denoise(x, cfg, level_sd)
+    values, thr, surv, shifts = _denoise(x, cfg, level_thresholds)
     return EstimateResult(values, thr, surv, fitted if known is None else known, shifts)
 
 
@@ -219,12 +228,25 @@ def _running_mad(values: np.ndarray, window: int) -> np.ndarray:
     of deviations in O(w) (:func:`_mad_of_deviations`). Windows of up to
     ``_NETWORK_WIDTH`` values are sorted all at once by a compare-exchange
     network over w shifted views (:func:`_mad_of_columns`), wider ones
-    gathered and sorted row by row (:func:`_mad_in_place`).
+    gathered and sorted row by row (:func:`_mad_in_place`). Windows of two
+    values, every level j <= 4 at the default depth, need no sort and no
+    blocks: their median (a + b) / 2 and their MAD (|a - med| + |b - med|) / 2
+    are the same bits in either order, NaN included.
     """
     m = values.shape[-1]
     w = min(window, m)
     lead = w // 2
     padded = np.concatenate([values[..., m - lead:], values, values[..., :w - 1 - lead]], axis=-1)
+    if w == 2:  # the window at p is (values[p - 1], values[p])
+        a = padded[..., :m]
+        med = a + values
+        med /= 2
+        mad = a - med
+        np.abs(mad, out=mad)
+        dev = np.subtract(values, med, out=med)
+        mad += np.abs(dev, out=dev)
+        mad /= 2
+        return mad
     block_cols = max(1, max(8 * values.size, 1 << 16) // (w * (values.size // m)))
     out = np.empty(values.shape)
     for c in range(0, m, block_cols):
@@ -333,7 +355,7 @@ def baseline_mad_estimate(x, cfg: EstimatorConfig | None = None) -> np.ndarray:
     """
     cfg = cfg or EstimatorConfig()
 
-    def level_sd(j, rows):
-        return MAD_TO_SIGMA * _running_mad(rows, _mad_window(j))
+    def level_thresholds(j, rows, factor):
+        return MAD_TO_SIGMA * _running_mad(rows, _mad_window(j)) * factor
 
-    return _denoise(as_signal(x), cfg, level_sd)[0]
+    return _denoise(as_signal(x), cfg, level_thresholds)[0]

@@ -95,6 +95,7 @@ def _stable_order(a: np.ndarray) -> np.ndarray:
     return np.sort(order + group) - group
 
 
+@np.errstate(over="ignore")  # an overflowing kernel sum is reported as one ValueError
 def nw_variance_raw(fit: PreliminaryFit, bandwidth: float,
                     grid_u) -> tuple[np.ndarray, np.ndarray]:
     """Kernel-weighted mean of squared residuals at each grid point.
@@ -113,7 +114,8 @@ def nw_variance_raw(fit: PreliminaryFit, bandwidth: float,
     ``np.add.reduceat``: O(n log n) time and O(n) memory, also when every
     window holds all n samples. Slices are summed on their own, never as
     differences of prefix sums, which cancel when a window is small next to
-    the total.
+    the total. Kernel sums that overflow raise ValueError, with no numpy
+    warning.
     """
     if not bandwidth > 0:  # also rejects NaN
         raise ValueError(f"bandwidth must be positive, got {bandwidth}")
@@ -154,7 +156,11 @@ def nw_variance_raw(fit: PreliminaryFit, bandwidth: float,
     if grid_u.size and not donors.size:
         raise ValueError("no grid point received kernel mass")
     nearest = donors[np.searchsorted((donors[1:] + donors[:-1]) / 2, np.arange(grid_u.size))]
-    return num[nearest] / mass[nearest], populated
+    raw = num[nearest] / mass[nearest]
+    if not np.all(np.isfinite(raw)):
+        raise ValueError("smoothed variance is not finite: kernel sums of squared residuals "
+                         "overflow at this data scale")
+    return raw, populated
 
 
 def pava_isotone(values, weights=None) -> np.ndarray:
@@ -276,7 +282,8 @@ class VarianceEstimate:
 
     The knots must be finite and nondecreasing, one value per knot, and
     ``floor_eps`` finite and >= 0; the values themselves are checked where a
-    lookup uses them.
+    lookup uses them. ``grid_u`` is stored as a read-only float copy, and
+    binding a new one resets the lookup constants built from it.
     """
 
     grid_u: np.ndarray
@@ -286,8 +293,15 @@ class VarianceEstimate:
     half_window: int = -1
     populated: Optional[np.ndarray] = None
 
+    def __setattr__(self, name, value):
+        if name == "grid_u":
+            value = np.array(value, dtype=float)
+            value.flags.writeable = False
+            super().__setattr__("_lookup", None)
+        super().__setattr__(name, value)
+
     def __post_init__(self):
-        self.grid_u = g = np.asarray(self.grid_u, dtype=float)
+        g = self.grid_u
         self.values = np.asarray(self.values, dtype=float)
         if g.ndim != 1 or not g.size or self.values.shape != g.shape:
             raise ValueError("grid_u and values must be 1-D and of the same nonzero length, "
@@ -299,6 +313,24 @@ class VarianceEstimate:
         if not 0 <= self.floor_eps < np.inf:  # also rejects NaN
             raise ValueError(f"floor_eps must be finite and >= 0, got {self.floor_eps}")
 
+    def _step_lookup(self) -> tuple:
+        """The constants of :meth:`step_index` for the bound ``grid_u``, built on first use.
+
+        Knot i bounds step i from below and step i - 1 from above. The -inf
+        below step 0 and the NaN above step G - 1 compare false, so the end
+        steps never miss outward, and a NaN u never misses.
+        """
+        if self._lookup is None:
+            g = self.grid_u
+            last = g.size - 1
+            span = g[last] - g[0]
+            knots = np.empty(g.size + 1)
+            knots[0], knots[1:-1], knots[-1] = -np.inf, g[1:], np.nan
+            with np.errstate(over="ignore"):
+                scale = last / span if span > 0 else None
+            self._lookup = g[0], scale, last, knots, knots[1:]
+        return self._lookup
+
     def step_index(self, u) -> np.ndarray:
         """``np.searchsorted(grid_u[1:], u, side="right")`` on any sorted grid, 0 where u is NaN.
 
@@ -306,25 +338,19 @@ class VarianceEstimate:
         u_0) (G - 1) / (u_last - u_0)) clamped to the grid, and checked once
         against grid_u[i] <= u < grid_u[i + 1]; ``searchsorted`` finds the
         entries that miss, almost none on the ``np.linspace`` grids of a fit.
-        A value costs O(1) work, not a binary search.
+        A value costs O(1) work, not a binary search. The padded knots and
+        the guess scale are built once per bound grid (:meth:`_step_lookup`).
         """
         flat = np.asarray(u, dtype=float).reshape(-1)
-        g = self.grid_u
-        last = g.size - 1
-        span = g[last] - g[0]
+        u0, scale, last, below, above = self._step_lookup()
         with np.errstate(over="ignore", invalid="ignore"):
-            guess = (flat - g[0]) * (last / span) if span > 0 else (flat >= g[0]) * float(last)
+            guess = (flat - u0) * scale if scale is not None else (flat >= u0) * float(last)
         # fmax and fmin also send a NaN guess to step 0
         np.fmax(guess, 0.0, out=guess)
         idx = np.fmin(guess, last, out=guess).astype(np.intp)
-        # Knot i bounds step i from below and step i - 1 from above. The
-        # -inf below step 0 and the NaN above step G - 1 compare false, so
-        # the end steps never miss outward, and a NaN u never misses.
-        knots = np.empty(g.size + 1)
-        knots[0], knots[1:-1], knots[-1] = -np.inf, g[1:], np.nan
-        miss = (knots[idx] > flat) | (knots[1:][idx] <= flat)
+        miss = (below[idx] > flat) | (above[idx] <= flat)
         if np.count_nonzero(miss):
-            idx[miss] = np.searchsorted(g[1:], flat[miss], side="right")
+            idx[miss] = np.searchsorted(above[:-1], flat[miss], side="right")
         return idx.reshape(np.shape(u))
 
     def query(self, u):
@@ -355,11 +381,7 @@ def estimate_variance_function(x, cfg: VarFnConfig | None = None) -> VarianceEst
         bandwidth = default_bandwidth(fit.alpha_hat, cfg.grid_size)
     else:
         bandwidth = float(cfg.bandwidth)
-    with np.errstate(over="ignore"):  # an overflowing kernel sum is reported below
-        raw, populated = nw_variance_raw(fit, bandwidth, grid)
-    if not np.all(np.isfinite(raw)):
-        raise ValueError("smoothed variance is not finite: kernel sums of squared residuals "
-                         "overflow at this data scale")
+    raw, populated = nw_variance_raw(fit, bandwidth, grid)
     iso = pava_isotone(raw)
     peak = float(raw.max())
     floor_eps = max(1e-10 * peak, np.nextafter(0.0, 1.0)) if peak > 0 else _TINY_FLOOR

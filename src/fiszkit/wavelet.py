@@ -122,18 +122,20 @@ class CoeffPyramid:
         return self.smooth**2 + sum(float(np.sum(d**2)) for d in self.details)
 
 
-def _analysis_step(approx: np.ndarray, g: np.ndarray, h: np.ndarray | None):
+def _analysis_step(approx: np.ndarray, g: np.ndarray, h: np.ndarray | None, out=None):
     """One periodic analysis step along the last axis of ``approx``.
 
     Returns the approximation and the detail, or the approximation alone
-    when ``h`` is None. Longer filters read tap i of every coefficient as a
+    when ``h`` is None. The approximation is written into ``out`` when it
+    is given, an array of its shape, so a caller can place the rows inside
+    a larger table. Longer filters read tap i of every coefficient as a
     strided slice of the periodically extended row, even and odd taps
     summed apart.
     """
     m = approx.shape[-1]
     if g.size == 2:
         a, b = approx[..., 0::2], approx[..., 1::2]
-        lo = a + b
+        lo = np.add(a, b, out=out)
         lo *= g[0]
         if h is None:
             return lo
@@ -144,12 +146,12 @@ def _analysis_step(approx: np.ndarray, g: np.ndarray, h: np.ndarray | None):
     ext = np.concatenate([approx] * (1 + k // m) + [approx[..., :k % m]], axis=-1)
     taps = [ext[..., i:i + m:2] for i in range(g.size)]
 
-    def filtered(f):
+    def filtered(f, out=None):
         even_odd = [taps[0] * f[0], taps[1] * f[1]]
         for i in range(2, f.size):
             even_odd[i % 2] += taps[i] * f[i]
-        return np.add(*even_odd, out=even_odd[0])
-    lo = filtered(g)
+        return np.add(*even_odd, out=even_odd[0] if out is None else out)
+    lo = filtered(g, out)
     return lo if h is None else (lo, filtered(h))
 
 
@@ -291,21 +293,35 @@ def _checked_thresholds(j: int, lam, detail: np.ndarray) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     if lam.shape != detail.shape:
         raise ValueError(f"threshold level {j} has shape {lam.shape}, expected {detail.shape}")
-    if not lam.min() >= 0:  # NaN compares false; a level is never empty
+    if not np.minimum.reduce(lam, axis=None) >= 0:  # NaN compares false; a level is never empty
         if not np.all(np.isfinite(detail)):
             raise ValueError(_COEFF_OVERFLOW)
         raise ValueError(f"negative or NaN threshold at level {j}")
     return lam
 
 
+def _rotate_into_children(rows: np.ndarray, parents: int) -> None:
+    """Fill the rows from ``parents`` on with their parents rotated by one sample."""
+    odd, width = rows.shape[0] - parents, rows.shape[1]
+    flat = rows.reshape(-1)
+    flat[parents * width + 1:] = flat[:odd * width - 1]  # row by row, column c to c + 1
+    rows[parents:, 0] = rows[:odd, -1]  # the wrap, where the flat copy crossed rows
+
+
 def _weigh(y: np.ndarray, q: int, m: int, stop: int, op) -> None:
     """``op`` in place: rows below m of ``y`` by q + 1 shifts, rows m .. stop - 1 by q.
 
-    Empty row ranges and factors of 1 are skipped, as x * 1 and x / 1 are x.
+    With ``q, m = divmod(shifts, span)`` and ``stop = min(shifts, span)``, rows
+    m .. stop - 1 exist only if q >= 1. Factors of 1 are skipped, as x * 1 and
+    x / 1 are x, so q and m alone decide which passes run, and no array is
+    touched when none does.
     """
-    for rows, factor in ((y[:m], q + 1), (y[m:stop], q)):
-        if rows.size and factor != 1:
-            op(rows, factor, out=rows)
+    if m and q:
+        rows = y[:m]
+        op(rows, q + 1, out=rows)
+    if q > 1:
+        rows = y[m:stop]
+        op(rows, q, out=rows)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is reported as one ValueError
@@ -333,10 +349,13 @@ def cycle_spin(x, basis: WaveletBasis, shifts: int, max_level: int,
     divided by q's largest power-of-two factor, which scales each sum by a
     power of two and changes no bit unless the unscaled sum would overflow.
     Full averaging and every power-of-two shift count thus merge with one add
-    and one halving. Children are built, and rotated back onto their parents,
-    by one flat copy or add over the row block, then the wrapped column is
-    fixed. Each depth holds at most n values: O(n log n) time and memory for
-    any ``shifts``.
+    and one halving, and a pass whose factors are all 1 touches no array
+    (:func:`_weigh`). Each depth's table is allocated before the analysis
+    above it, which writes the parent rows straight into it; the children
+    are then built in that table, and later rotated back onto their
+    parents, by one flat copy or add over the row block, then the wrapped
+    column is fixed. Each depth holds at most n values: O(n log n) time and
+    memory for any ``shifts``.
 
     Returns the averaged signal and, for the unshifted pass, the thresholds
     and shrunk details of levels 0 .. max_level-1. Coefficients or averaged
@@ -350,25 +369,23 @@ def cycle_spin(x, basis: WaveletBasis, shifts: int, max_level: int,
     if not 1 <= max_level <= depth:
         raise ValueError(f"max_level must be in [1, {depth}], got {max_level}")
     g, h = basis.filter_pair()
-    rows = x[None, :]
+    rows = x[None, :] if shifts == 1 else np.stack([x, x])  # row 1: the child, built below
     shrunk = []  # per depth: shrunk detail rows, None where the level is zeroed
     first_thr = []
     for d in range(depth):
         j = depth - 1 - d
-        odd = min(shifts, 2 << d) - rows.shape[0]  # rows r + 2^d still below shifts
-        if odd > 0:  # children: their parents rotated by one sample
-            parents, width = rows.shape
-            table = np.empty((parents + odd, width))
-            table[:parents] = rows
-            flat = table.reshape(-1)
-            flat[parents * width + 1:] = flat[:odd * width - 1]  # row by row, column c to c + 1
-            table[parents:, 0] = rows[:odd, -1]  # the wrap, where the flat copy crossed rows
-            rows = table
-        if j >= max_level:
-            rows = _analysis_step(rows, g, None)
+        parents = min(shifts, 1 << d)
+        if rows.shape[0] > parents:  # rows r + 2^d still below shifts
+            _rotate_into_children(rows, parents)
+        # depth d + 1's table; the analysis writes its parents, these rows' approximations
+        table = np.empty((min(shifts, 4 << d), rows.shape[1] // 2))
+        thresholded = j < max_level
+        step = _analysis_step(rows, g, h if thresholded else None, out=table[:rows.shape[0]])
+        rows = table  # the analysed rows are freed before the thresholds are built
+        if not thresholded:
             shrunk.append(None)
             continue
-        rows, detail = _analysis_step(rows, g, h)
+        detail = step[1]
         lam = _checked_thresholds(j, threshold_fn(j, detail), detail)
         shrunk.append(shrink(detail, lam))
         first_thr.append(lam[0].copy())

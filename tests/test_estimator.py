@@ -33,6 +33,13 @@ def mad_window_stack(values, window):
     return np.median(np.abs(stack - med), axis=0)
 
 
+def two_value_windows(test):
+    """Pin window 2 over 128 rows of 1 .. 16 values, a third of them ±0.0, NaN or ±inf."""
+    for m in range(1, 17):
+        test = example(128, m, 2, 70 + m, (None, None), 0.3)(test)
+    return test
+
+
 def mad_sort_twice(values, window):
     """Running MAD that sorts each window and then sorts its deviations.
 
@@ -465,7 +472,8 @@ class TestEstimate:
                 np.testing.assert_array_equal(a, b)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("basis", [haar(), basis_by_name("daub4")], ids=lambda b: b.name)
+    @pytest.mark.parametrize("basis", [haar(), basis_by_name("daub4"), basis_by_name("daub8")],
+                             ids=lambda b: b.name)
     # 96 = 3 * 2^5, 384 = 3 * 2^7, 640 = 5 * 2^7 and 1536 = 3 * 2^9: at their shallow
     # depths the equal class counts have an odd factor, so the scaling is partial
     @pytest.mark.parametrize("shifts", [1, 2, 3, 5, 7, 96, 127, 128, 384, 640, 682, 1536, 2047,
@@ -735,6 +743,7 @@ class TestBaseline:
     @example(8, 300, 257, 69, (None, None), 0.02)
     @example(8, 200, 150, 69, (0, None), 0.02)
     @example(1, 300, 257, 69, (None, 0), 0.02)
+    @two_value_windows  # the sort-free path
     def test_running_mad_bit_identical_to_sorting_twice(self, rows, m, window, seed, clip, share):
         # ties, ±0.0, ±inf, NaN and ±1.7e308, whose pairs overflow an even window's median;
         # clipped at 0, about half of each window ties at one end, where the MAD can be

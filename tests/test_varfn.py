@@ -730,6 +730,11 @@ class TestEstimatePipeline:
         np.testing.assert_array_equal(est.step_index(pool),
                                       np.searchsorted(grid[1:], pool, side="right"))
         assert est.step_index(np.array([np.nan, grid[-1]])).tolist() == [0, grid.size - 1]
+        # a grid bound after the lookup constants were built: mirrored and twice as wide
+        est.grid_u = new = 2.0 * (grid[-1] - grid[::-1]) - 1.0
+        pool = np.concatenate([pool, new, np.nextafter(new, np.inf), np.nextafter(new, -np.inf)])
+        np.testing.assert_array_equal(est.step_index(pool),
+                                      np.searchsorted(new[1:], pool, side="right"))
 
     def test_query_on_zero_span_grid(self):
         # constant data gives a grid of equal knots: the top value from the knot up
@@ -776,6 +781,13 @@ class TestEstimatePipeline:
         x = 5e153 * (-1.0) ** np.arange(64)
         with pytest.raises(ValueError, match="^smoothed variance is not finite"):
             estimate_variance_function(x, VarFnConfig(half_window=1))
+
+    def test_overflowing_kernel_sums_rejected_in_a_direct_call(self):
+        # nw_variance_raw is public: it raises the fit's error itself, with no numpy warning
+        fit = preliminary_fit(5e153 * (-1.0) ** np.arange(64), 1)
+        grid = np.linspace(fit.alpha_hat.min(), fit.alpha_hat.max(), 256)
+        with pytest.raises(ValueError, match="^smoothed variance is not finite"):
+            nw_variance_raw(fit, default_bandwidth(fit.alpha_hat), grid)
 
     def test_overflowing_residuals_rejected(self):
         truth = make_blocks(256, 1.0, 22.6)
