@@ -13,10 +13,10 @@ any shift count, with a translation-invariant table in O(n log n) time
 and memory instead of one transform per shift; with
 ``translation_invariant=False`` the same engine runs the single unshifted
 pass. The local means, and h, are evaluated only at the coefficients the
-table holds. The fitted h is a step function, so each ``estimate`` call
-builds one table of step thresholds, sqrt(h) * sqrt(2 log N), and each level
-gathers its thresholds from that table at the steps of its local means
-(:meth:`fiszkit.varfn.VarianceEstimate.step_index`).
+table holds. The fitted h is a step function: each level gathers the sds of
+its steps (``VarianceEstimate.sd``) at the steps of its local means
+(:meth:`fiszkit.varfn.VarianceEstimate.step_index`) and scales them by
+sqrt(2 log N).
 
 A running-MAD comparator shares the same pipeline but derives thresholds
 from a robust per-level scale estimate of the coefficients themselves,
@@ -198,18 +198,16 @@ def estimate(x, cfg: EstimatorConfig | None = None) -> EstimateResult:
     known = cfg.known_variance
     fitted = None if known is not None else estimate_variance_function(x, cfg.varfn)
     means = shifted_local_means(x, cfg.basis)
-    # No range check on the fitted sd: its table is finite (PAVA checks) and >= floor_eps > 0
-    # (the fit floors it), and the local means are finite (as_signal, the prefix-sum check).
-    table = None  # the threshold of each fitted step, sqrt(values) * factor
+    # No range check on the fitted sd: its steps are finite (PAVA checks) and >= floor_eps > 0
+    # (the fit floors them), and the local means are finite (as_signal, the prefix-sum check).
 
     def level_thresholds(j, rows, factor):
-        nonlocal table
         lm = means(j, rows.shape[0])
         if known is not None:
             return coefficient_sd(lm, known, j) * factor
-        if table is None:  # the factor is the same at every level
-            table = np.sqrt(fitted.values) * factor
-        return table[fitted.step_index(lm)]
+        lam = fitted.sd[fitted.step_index(lm)]
+        lam *= factor
+        return lam
 
     values, thr, surv, shifts = _denoise(x, cfg, level_thresholds)
     return EstimateResult(values, thr, surv, fitted if known is None else known, shifts)

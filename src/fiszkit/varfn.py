@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -273,7 +273,7 @@ class VarFnConfig:
                              f"{min_len} samples")
 
 
-@dataclass
+@dataclass(frozen=True)
 class VarianceEstimate:
     """Nondecreasing step estimate of the mean-to-variance map.
 
@@ -282,8 +282,11 @@ class VarianceEstimate:
 
     The knots must be finite and nondecreasing, one value per knot, and
     ``floor_eps`` finite and >= 0; the values themselves are checked where a
-    lookup uses them. ``grid_u`` is stored as a read-only float copy, and
-    binding a new one resets the lookup constants built from it.
+    lookup uses them. ``grid_u`` and ``values`` are stored as read-only float
+    copies, and the estimate is frozen: :func:`dataclasses.replace` makes a
+    new one. ``sd`` is the sd of each step, max(sqrt(values),
+    sqrt(floor_eps)), NaN where a value is negative or NaN; the thresholds and
+    the VST divisors are gathered from it.
     """
 
     grid_u: np.ndarray
@@ -292,44 +295,35 @@ class VarianceEstimate:
     bandwidth: float = float("nan")
     half_window: int = -1
     populated: Optional[np.ndarray] = None
-
-    def __setattr__(self, name, value):
-        if name == "grid_u":
-            value = np.array(value, dtype=float)
-            value.flags.writeable = False
-            super().__setattr__("_lookup", None)
-        super().__setattr__(name, value)
+    sd: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        g = self.grid_u
-        self.values = np.asarray(self.values, dtype=float)
-        if g.ndim != 1 or not g.size or self.values.shape != g.shape:
+        g, v = (np.array(a, dtype=float) for a in (self.grid_u, self.values))
+        if g.ndim != 1 or not g.size or v.shape != g.shape:
             raise ValueError("grid_u and values must be 1-D and of the same nonzero length, "
-                             f"got shapes {g.shape} and {self.values.shape}")
+                             f"got shapes {g.shape} and {v.shape}")
         if not np.isfinite(g).all():
             raise ValueError("grid_u must be finite")
         if (g[1:] < g[:-1]).any():
             raise ValueError("grid_u must be nondecreasing")
         if not 0 <= self.floor_eps < np.inf:  # also rejects NaN
             raise ValueError(f"floor_eps must be finite and >= 0, got {self.floor_eps}")
-
-    def _step_lookup(self) -> tuple:
-        """The constants of :meth:`step_index` for the bound ``grid_u``, built on first use.
-
-        Knot i bounds step i from below and step i - 1 from above. The -inf
-        below step 0 and the NaN above step G - 1 compare false, so the end
-        steps never miss outward, and a NaN u never misses.
-        """
-        if self._lookup is None:
-            g = self.grid_u
-            last = g.size - 1
-            span = g[last] - g[0]
-            knots = np.empty(g.size + 1)
-            knots[0], knots[1:-1], knots[-1] = -np.inf, g[1:], np.nan
-            with np.errstate(over="ignore"):
-                scale = last / span if span > 0 else None
-            self._lookup = g[0], scale, last, knots, knots[1:]
-        return self._lookup
+        with np.errstate(invalid="ignore"):
+            sd = np.maximum(np.sqrt(v), np.sqrt(self.floor_eps))
+        # The constants of step_index. Knot i bounds step i from below and
+        # step i - 1 from above. The -inf below step 0 and the NaN above step
+        # G - 1 compare false, so the end steps never miss outward, and a NaN
+        # u never misses.
+        last = g.size - 1
+        span = g[last] - g[0]
+        knots = np.empty(g.size + 1)
+        knots[0], knots[1:-1], knots[-1] = -np.inf, g[1:], np.nan
+        with np.errstate(over="ignore"):
+            scale = last / span if span > 0 else None
+        for name, a in (("grid_u", g), ("values", v), ("sd", sd)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        object.__setattr__(self, "_lookup", (g[0], scale, last, knots, knots[1:]))
 
     def step_index(self, u) -> np.ndarray:
         """``np.searchsorted(grid_u[1:], u, side="right")`` on any sorted grid, 0 where u is NaN.
@@ -339,10 +333,10 @@ class VarianceEstimate:
         against grid_u[i] <= u < grid_u[i + 1]; ``searchsorted`` finds the
         entries that miss, almost none on the ``np.linspace`` grids of a fit.
         A value costs O(1) work, not a binary search. The padded knots and
-        the guess scale are built once per bound grid (:meth:`_step_lookup`).
+        the guess scale are built at construction.
         """
         flat = np.asarray(u, dtype=float).reshape(-1)
-        u0, scale, last, below, above = self._step_lookup()
+        u0, scale, last, below, above = self._lookup
         with np.errstate(over="ignore", invalid="ignore"):
             guess = (flat - u0) * scale if scale is not None else (flat >= u0) * float(last)
         # fmax and fmin also send a NaN guess to step 0

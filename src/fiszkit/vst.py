@@ -4,11 +4,11 @@ The forward transform divides every detail coefficient by the estimated
 standard deviation of that coefficient (square root of the fitted
 variance map at the coefficient's local data mean), leaving the smooth
 coefficient alone: one unshifted :func:`fiszkit.wavelet.cycle_spin` pass
-that divides where the denoiser shrinks. The floored square roots of the
-fitted steps are taken once, and each level gathers its divisors from them
-at the steps of its local means. Multiplying back by the recorded
-divisors inverts it exactly, and composing it with universal-threshold
-shrinkage reproduces the mean-linked denoiser coefficient for coefficient.
+that divides where the denoiser shrinks. Each level gathers its divisors
+from the floored sds of the fitted steps, ``VarianceEstimate.sd``, the ones
+the fitted thresholds scale. Multiplying back by the recorded divisors
+inverts it exactly, and composing it with universal-threshold shrinkage
+reproduces the mean-linked denoiser coefficient for coefficient.
 """
 
 from __future__ import annotations
@@ -51,11 +51,9 @@ def forward_vst(x, hhat: VarianceEstimate,
     x = as_signal(x)
     basis = basis or haar()
     means = shifted_local_means(x, basis)
-    with np.errstate(invalid="ignore"):  # a negative variance's NaN sd is reported below
-        sd = np.maximum(np.sqrt(hhat.values), np.sqrt(hhat.floor_eps))
 
     def divisors(j, _rows):
-        d = sd[hhat.step_index(means(j, 1))]  # one gather, as the fitted thresholds
+        d = hhat.sd[hhat.step_index(means(j, 1))]  # one gather, as the fitted thresholds
         if not d.max() < np.inf:  # max propagates NaN
             raise ValueError(f"variance map returned negative or non-finite values at level {j}")
         if not d.min() > 0:  # checked before the division, which would warn

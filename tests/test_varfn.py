@@ -1,6 +1,7 @@
 import re
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -730,8 +731,9 @@ class TestEstimatePipeline:
         np.testing.assert_array_equal(est.step_index(pool),
                                       np.searchsorted(grid[1:], pool, side="right"))
         assert est.step_index(np.array([np.nan, grid[-1]])).tolist() == [0, grid.size - 1]
-        # a grid bound after the lookup constants were built: mirrored and twice as wide
-        est.grid_u = new = 2.0 * (grid[-1] - grid[::-1]) - 1.0
+        # a new grid, mirrored and twice as wide, on a copy of an estimate already used
+        new = 2.0 * (grid[-1] - grid[::-1]) - 1.0
+        est = replace(est, grid_u=new)
         pool = np.concatenate([pool, new, np.nextafter(new, np.inf), np.nextafter(new, -np.inf)])
         np.testing.assert_array_equal(est.step_index(pool),
                                       np.searchsorted(new[1:], pool, side="right"))
