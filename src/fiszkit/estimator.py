@@ -8,15 +8,12 @@ closed-form mean-to-variance map or the step estimate fitted by
 coefficient always passes through.
 
 Translation invariance comes from averaging over the first n/shift_stride
-circular shifts. :func:`fiszkit.wavelet.cycle_spin` does this exactly, for
-any shift count, with a translation-invariant table in O(n log n) time
-and memory instead of one transform per shift; with
-``translation_invariant=False`` the same engine runs the single unshifted
-pass. The local means, and h, are evaluated only at the coefficients the
-table holds. The fitted h is a step function: each level gathers the sds of
-its steps (``VarianceEstimate.sd``) at the steps of its local means
-(:meth:`fiszkit.varfn.VarianceEstimate.step_index`) and scales them by
-sqrt(2 log N).
+circular shifts, exactly, in O(n log n) time and memory
+(:func:`fiszkit.wavelet.cycle_spin`); with ``translation_invariant=False``
+the same engine runs the single unshifted pass. The fitted h is a step
+function: each level gathers the sds of its steps (``VarianceEstimate.sd``)
+at the steps of its local means (:meth:`fiszkit.varfn.VarianceEstimate.step_index`)
+and scales them by sqrt(2 log N).
 
 A running-MAD comparator shares the same pipeline but derives thresholds
 from a robust per-level scale estimate of the coefficients themselves,
@@ -190,8 +187,7 @@ def _denoise(x: np.ndarray, cfg: EstimatorConfig, level_thresholds: Callable):
 def estimate(x, cfg: EstimatorConfig | None = None) -> EstimateResult:
     """Denoise ``x``; thresholds from a known or data-estimated variance map.
 
-    The variance map, when estimated, is fitted once on the unshifted data
-    and reused across all shifts.
+    An estimated map is fitted once, on the unshifted data.
     """
     cfg = cfg or EstimatorConfig()
     x = as_signal(x)
@@ -216,20 +212,13 @@ def estimate(x, cfg: EstimatorConfig | None = None) -> EstimateResult:
 def _running_mad(values: np.ndarray, window: int) -> np.ndarray:
     """Median absolute deviation over a periodic window, along the last axis.
 
-    The windows are taken a block of columns at a time, at most
-    max(8 * values.size, 2**16) values per block, so memory stays O(n)
-    where a full window stack would hold window × n values; at the default
-    depth, every level of a signal of n <= 2048 takes one block. Each
-    position's MAD depends only on its own window, so blocking does not
-    change the result. Each window is sorted once, O(n w log w) time for
-    windows of w values, and its MAD selected from the two ascending runs
-    of deviations in O(w) (:func:`_mad_of_deviations`). Windows of up to
-    ``_NETWORK_WIDTH`` values are sorted all at once by a compare-exchange
-    network over w shifted views (:func:`_mad_of_columns`), wider ones
-    gathered and sorted row by row (:func:`_mad_in_place`). Windows of two
-    values, every level j <= 4 at the default depth, need no sort and no
-    blocks: their median (a + b) / 2 and their MAD (|a - med| + |b - med|) / 2
-    are the same bits in either order, NaN included.
+    Bit-identical to ``np.median`` of the window stack. The windows are
+    taken a block of columns at a time, at most max(8 * values.size, 2**16)
+    values per block, so memory stays O(n). Each window is sorted once, and
+    its MAD selected from the deviations in O(w) (:func:`_mad_of_deviations`).
+    Windows of two values need no sort: their median (a + b) / 2 and their
+    MAD (|a - med| + |b - med|) / 2 are the same bits in either order, NaN
+    included.
     """
     m = values.shape[-1]
     w = min(window, m)
@@ -276,12 +265,7 @@ def _middle(cols) -> np.ndarray:
 
 
 def _mad_in_place(windows: np.ndarray) -> np.ndarray:
-    """MAD along the last axis; sorts ``windows`` and overwrites it with the deviations.
-
-    The median is the middle of the sorted window, and the MAD is selected
-    from its deviations by :func:`_mad_of_deviations`, so the result is
-    bit-identical to ``np.median`` of the window stack.
-    """
+    """MAD along the last axis; sorts ``windows`` and overwrites it with the deviations."""
     cols = np.moveaxis(windows, -1, 0)
     windows.sort(axis=-1)
     np.abs(np.subtract(windows, _middle(cols)[..., None], out=windows), out=windows)
@@ -321,9 +305,7 @@ def _mad_of_deviations(devs) -> np.ndarray:
     of k consecutive sorted values, and every deviation enters one. ``max``
     and ``min`` select without arithmetic and no deviation is -0.0, so the
     middle values are a sort's, bit for bit, and NaN where a deviation is
-    NaN, as in ``np.median``. The splits are taken one at a time when a
-    block holds at least as many positions as there are splits, else in one
-    ``np.maximum``: fewer numpy calls for wide windows over few positions.
+    NaN, as in ``np.median``.
     """
     w = len(devs)
     middle = []

@@ -37,8 +37,8 @@ class VstState:
     basis: WaveletBasis
 
     def __post_init__(self):
+        self.divisors = [np.asarray(d, dtype=float) for d in self.divisors]
         for j, d in enumerate(self.divisors):
-            self.divisors[j] = d = np.asarray(d, dtype=float)
             if d.shape != (1 << j,):
                 raise ValueError(f"divisor level {j} must hold {1 << j} values")
             if not np.all(d > 0):

@@ -12,13 +12,10 @@ Table 6.1). Each tap is the double float64 spectral factorisation gives, kept bi
 bit: daub4's second tap is one ulp below the correctly rounded (3 + sqrt 3) / (4 sqrt 2),
 and re-rounding to the published decimals would move every output.
 
-Alongside the transform proper, :func:`local_means` computes, for every
-detail coefficient, the uniform average of the data over the support of
-that coefficient's wavelet vector. That support starts at the
-coefficient's first sample, (k - 1) 2^(J-j), and its length per level is
-found once per (basis, length) and cached, by synthesising the level's
-first wavelet vector directly from its one detail coefficient. For Haar the
-means are rescaled scaling coefficients.
+:func:`local_means` gives, for every detail coefficient, the uniform
+average of the data over the support of its wavelet vector, which starts
+at the coefficient's first sample, (k - 1) 2^(J-j). For Haar the means are
+rescaled scaling coefficients.
 
 :func:`cycle_spin` is the one shift-averaging engine: it thresholds every
 circular shift of a signal and averages the results through a
@@ -112,11 +109,10 @@ class CoeffPyramid:
     smooth: float = 0.0
 
     def __post_init__(self):
+        self.details = [np.asarray(d, dtype=float) for d in self.details]
         for j, d in enumerate(self.details):
-            d = np.asarray(d, dtype=float)
             if d.shape != (1 << j,):
                 raise ValueError(f"level {j} must hold {1 << j} coefficients, got shape {d.shape}")
-            self.details[j] = d
 
     def energy(self) -> float:
         return self.smooth**2 + sum(float(np.sum(d**2)) for d in self.details)
@@ -127,10 +123,8 @@ def _analysis_step(approx: np.ndarray, g: np.ndarray, h: np.ndarray | None, out=
 
     Returns the approximation and the detail, or the approximation alone
     when ``h`` is None. The approximation is written into ``out`` when it
-    is given, an array of its shape, so a caller can place the rows inside
-    a larger table. Longer filters read tap i of every coefficient as a
-    strided slice of the periodically extended row, even and odd taps
-    summed apart.
+    is given, an array of its shape. Longer filters sum even and odd taps
+    apart.
     """
     m = approx.shape[-1]
     if g.size == 2:
@@ -157,10 +151,8 @@ def _analysis_step(approx: np.ndarray, g: np.ndarray, h: np.ndarray | None, out=
 
 def _synthesis_rows(approx: np.ndarray, detail: np.ndarray, g: np.ndarray, h: np.ndarray):
     """The transpose of :func:`_analysis_step` along the last axis, as the leading
-    2 * ``approx.shape[-1]`` columns of one new C array.
-
-    Longer filters leave the tail they folded back in the L - 2 columns after
-    the result, so the result is not copied out of them.
+    2 * ``approx.shape[-1]`` columns of one new C array (L - 2 more columns
+    follow for filters of length L > 2).
     """
     half = approx.shape[-1]
     shape = approx.shape[:-1] + (2 * half,)
@@ -211,10 +203,9 @@ def dwt_inverse(p: CoeffPyramid, basis: WaveletBasis | None = None) -> np.ndarra
 def _support_lengths(basis: WaveletBasis, n: int) -> tuple[int, ...]:
     """Per level j: the support length of the k=1 wavelet vector, which starts at sample 0.
 
-    The vector is synthesised from the one-hot level-j detail over a zero approximation,
-    then through zero details up to length n; the coarser levels would only add exact
-    zeros. It runs to the last entry above 1e-12 x the peak. Coefficient k's support is
-    the same one rotated by (k - 1) 2^(J-j), by the periodic decimated cascade.
+    The vector, synthesised from the one-hot level-j detail over a zero approximation
+    (coarser levels would only add exact zeros), runs to its last entry above 1e-12 x
+    the peak. Coefficient k's support is the same one rotated by (k - 1) 2^(J-j).
     """
     g, h = basis.filter_pair()
     lengths = []
@@ -236,12 +227,8 @@ def shifted_local_means(x, basis: WaveletBasis | None = None):
     Row s of ``means(j, count)`` equals ``local_means(np.roll(x, s))[j]``:
     coefficient (j, k) of the shift-s signal averages ``x`` over the cyclic
     window of level j's support length that starts at sample
-    (k - 1) 2^(J-j) - s, and ``count`` must lie in [1, p], p = 2^(J-j). The
-    doubled prefix sum is built once. The starts p k - s, 1 <= k <= 2^j, never
-    wrap: in rows of p, the prefix sum holds them in its last ``count`` columns,
-    a (2^j, count) block whose differences are the means. One transposed copy
-    puts them in shift order, start p 2^j - s (-s for s >= 1) first: no index
-    array and no gather.
+    (k - 1) 2^(J-j) - s, and ``count`` must lie in [1, p], p = 2^(J-j). Every
+    mean is a difference of two entries of one prefix sum of ``x`` repeated twice.
     """
     x = as_signal(x)
     n = x.size
@@ -313,8 +300,7 @@ def _weigh(y: np.ndarray, q: int, m: int, stop: int, op) -> None:
 
     With ``q, m = divmod(shifts, span)`` and ``stop = min(shifts, span)``, rows
     m .. stop - 1 exist only if q >= 1. Factors of 1 are skipped, as x * 1 and
-    x / 1 are x, so q and m alone decide which passes run, and no array is
-    touched when none does.
+    x / 1 are x.
     """
     if m and q:
         rows = y[:m]
@@ -348,14 +334,8 @@ def cycle_spin(x, basis: WaveletBasis, shifts: int, max_level: int,
     every child holds q shifts and every parent 2q; both weights are first
     divided by q's largest power-of-two factor, which scales each sum by a
     power of two and changes no bit unless the unscaled sum would overflow.
-    Full averaging and every power-of-two shift count thus merge with one add
-    and one halving, and a pass whose factors are all 1 touches no array
-    (:func:`_weigh`). Each depth's table is allocated before the analysis
-    above it, which writes the parent rows straight into it; the children
-    are then built in that table, and later rotated back onto their
-    parents, by one flat copy or add over the row block, then the wrapped
-    column is fixed. Each depth holds at most n values: O(n log n) time and
-    memory for any ``shifts``.
+    Each depth holds at most n values: O(n log n) time and memory for any
+    ``shifts``.
 
     Returns the averaged signal and, for the unshifted pass, the thresholds
     and shrunk details of levels 0 .. max_level-1. Coefficients or averaged

@@ -15,8 +15,7 @@ from fiszkit import (EstimatorConfig, NoiseModel, SeedSpec, VarianceEstimate,
                      estimate, estimate_variance_function, haar, hard_threshold,
                      local_means, make_blocks, make_bumps, sample_noise, soft_threshold,
                      thresholds_data_driven, thresholds_known_h, universal_factor)
-from fiszkit.estimator import (_NETWORK_WIDTH, MAD_TO_SIGMA, _mad_window, _middle, _running_mad,
-                               _sort_columns, coefficient_sd)
+from fiszkit.estimator import MAD_TO_SIGMA, _mad_window, _running_mad, coefficient_sd
 from fiszkit.wavelet import (BASIS_NAMES, _analysis_step, _checked_thresholds, _synthesis_rows,
                              basis_by_name, cycle_spin, shifted_local_means)
 
@@ -41,32 +40,23 @@ def two_value_windows(test):
 
 
 def mad_sort_twice(values, window):
-    """Running MAD that sorts each window and then sorts its deviations.
+    """Running MAD that sorts each window with ``np.sort`` and then sorts its deviations.
 
-    Windows of up to ``_NETWORK_WIDTH`` values go through the
-    compare-exchange network twice, wider ones through ``ndarray.sort``
-    twice; the median and the MAD are the middles of the sorted arrays. A
-    sort puts NaN last, so a window whose largest deviation is NaN is set
-    to NaN.
+    The median and the MAD are the middles of the sorted windows, the two
+    middle values averaged for an even window, as ``np.median`` does. A sort
+    puts NaN last, so a window whose largest deviation is NaN is set to NaN.
     """
-    m = values.shape[-1]
-    w = min(window, m)
-    lead = w // 2
-    padded = np.concatenate([values[..., m - lead:], values, values[..., :w - 1 - lead]], axis=-1)
-    if w <= _NETWORK_WIDTH:
-        cols = [padded[..., i:i + m] for i in range(w)]
-        _sort_columns(cols)
-        med = _middle(cols)
-        devs = [np.abs(c - med) for c in cols]
-        _sort_columns(devs)
-        return _middle(devs)
-    windows = np.lib.stride_tricks.sliding_window_view(padded, w, axis=-1).copy()
-    cols = np.moveaxis(windows, -1, 0)
-    windows.sort(axis=-1)
-    np.abs(np.subtract(windows, _middle(cols)[..., None], out=windows), out=windows)
-    windows.sort(axis=-1)
-    mad = _middle(cols)
-    mad[np.isnan(cols[-1])] = np.nan
+    w = min(window, values.shape[-1])
+    padded = np.concatenate([values[..., values.shape[-1] - w // 2:], values,
+                             values[..., :w - 1 - w // 2]], axis=-1)
+    windows = np.sort(np.lib.stride_tricks.sliding_window_view(padded, w, axis=-1), axis=-1)
+
+    def middle(a):
+        return (a[..., (w - 1) // 2] + a[..., w // 2]) / 2 if w % 2 == 0 else a[..., w // 2]
+
+    devs = np.sort(np.abs(windows - middle(windows)[..., None]), axis=-1)
+    mad = middle(devs)
+    mad[np.isnan(devs[..., -1])] = np.nan
     return mad
 
 

@@ -1,7 +1,8 @@
+import math
 import re
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -654,6 +655,38 @@ class TestEstimatePipeline:
         assert est.grid_u.dtype == est.values.dtype == np.float64
         assert est.query(1.5) == np.inf  # the lookups report bad steps level by level
 
+    def test_estimate_is_frozen(self):
+        est = VarianceEstimate(np.array([0.0, 1.0]), np.array([1.0, 2.0]), 1e-9, bandwidth=0.5,
+                               half_window=1, populated=np.array([True, False]))
+        for f in fields(est):
+            with pytest.raises(FrozenInstanceError):
+                setattr(est, f.name, getattr(est, f.name))
+        for a in (est.grid_u, est.values, est.sd):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.5
+
+    def test_estimate_keeps_its_own_copies(self):
+        grid, values = np.array([0.0, 1.0, 2.0]), np.array([1.0, 4.0, 9.0])
+        est = VarianceEstimate(grid, values, 1e-9)
+        u = np.array([-1.0, 0.5, 1.5, 3.0])
+        grid[:] = [5.0, 6.0, 7.0]
+        values[:] = [-1.0, np.nan, 0.0]
+        assert est.query(u).tolist() == [1.0, 1.0, 4.0, 9.0]
+        assert est.sd.tolist() == [1.0, 2.0, 3.0]
+
+    @pytest.mark.parametrize("floor_eps", [0.0, -0.0, 5e-324, 1e-10, 0.5])
+    def test_sd_is_the_floored_root_of_each_step(self, floor_eps):
+        values = [-1.0, -0.0, 0.0, 5e-324, 1e-20, 0.25, 4.0, np.inf, np.nan, -np.inf]
+        est = VarianceEstimate(np.arange(len(values), dtype=float), values, floor_eps)
+        floor = math.sqrt(floor_eps)
+        want = np.array([np.nan if not v >= 0 else math.sqrt(v) if math.sqrt(v) > floor else floor
+                         for v in values])  # np.maximum gives its second argument on a tie
+        nan = np.isnan(want)
+        np.testing.assert_array_equal(np.isnan(est.sd), nan)
+        assert est.sd[~nan].tobytes() == want[~nan].tobytes()
+        doubled = replace(est, values=2 * np.asarray(values))
+        assert doubled.sd[5:7].tolist() == [math.sqrt(0.5), math.sqrt(8.0)]
+
     def test_query_clamps_and_is_monotone(self):
         est = VarianceEstimate(np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0, 9.0]), 1e-8)
         assert est.query(0.0) == 4.0
@@ -731,12 +764,13 @@ class TestEstimatePipeline:
         np.testing.assert_array_equal(est.step_index(pool),
                                       np.searchsorted(grid[1:], pool, side="right"))
         assert est.step_index(np.array([np.nan, grid[-1]])).tolist() == [0, grid.size - 1]
-        # a new grid, mirrored and twice as wide, on a copy of an estimate already used
+        # a new grid, mirrored and twice as wide, on a copy; the original keeps its own
         new = 2.0 * (grid[-1] - grid[::-1]) - 1.0
-        est = replace(est, grid_u=new)
+        moved = replace(est, grid_u=new)
         pool = np.concatenate([pool, new, np.nextafter(new, np.inf), np.nextafter(new, -np.inf)])
-        np.testing.assert_array_equal(est.step_index(pool),
-                                      np.searchsorted(new[1:], pool, side="right"))
+        for e, g in ((moved, new), (est, grid)):
+            np.testing.assert_array_equal(e.step_index(pool),
+                                          np.searchsorted(g[1:], pool, side="right"))
 
     def test_query_on_zero_span_grid(self):
         # constant data gives a grid of equal knots: the top value from the knot up

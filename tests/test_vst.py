@@ -132,6 +132,13 @@ class TestForwardInverse:
         with pytest.raises(ValueError):
             VstState([np.array([np.nan])], haar())
 
+    def test_state_leaves_the_callers_list_alone(self):
+        divisors = [[2.0], [1.0, 3.0]]
+        state = VstState(divisors, haar())
+        assert [type(d) for d in divisors] == [list, list]
+        assert divisors == [[2.0], [1.0, 3.0]]
+        assert [d.tolist() for d in state.divisors] == divisors
+
     def test_non_finite_variance_rejected(self):
         hhat = VarianceEstimate(np.array([0.0, 1.0]), np.array([1.0, np.inf]), 1e-12)
         with pytest.raises(ValueError):

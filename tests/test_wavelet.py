@@ -203,6 +203,13 @@ class TestTransform:
         with pytest.raises(ValueError):
             dwt_inverse(p)
 
+    def test_pyramid_leaves_the_callers_list_alone(self):
+        details = [[2.0], [1.0, 3.0]]
+        p = CoeffPyramid(details, 0.5)
+        assert [type(d) for d in details] == [list, list]
+        assert details == [[2.0], [1.0, 3.0]]
+        assert [d.tolist() for d in p.details] == details
+
     def test_non_dyadic_rejected(self):
         with pytest.raises(ValueError):
             dwt_forward(np.arange(6.0))
