@@ -311,7 +311,7 @@ def _mad_of_deviations(devs) -> np.ndarray:
     middle = []
     for k in range((w + 1) // 2, w // 2 + 2):  # the middle one or two
         splits = w - k + 1
-        if devs[0].shape[-1] < splits:
+        if devs[0].shape[-1] < splits:  # wide windows over few positions: fewer numpy calls
             middle.append(np.maximum(devs[:splits], devs[k - 1:]).min(axis=0))
             continue
         out = np.maximum(devs[0], devs[k - 1])

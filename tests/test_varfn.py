@@ -679,8 +679,13 @@ class TestEstimatePipeline:
         values = [-1.0, -0.0, 0.0, 5e-324, 1e-20, 0.25, 4.0, np.inf, np.nan, -np.inf]
         est = VarianceEstimate(np.arange(len(values), dtype=float), values, floor_eps)
         floor = math.sqrt(floor_eps)
-        want = np.array([np.nan if not v >= 0 else math.sqrt(v) if math.sqrt(v) > floor else floor
-                         for v in values])  # np.maximum gives its second argument on a tie
+
+        def floored_root(v):  # on a tie np.maximum gives its second argument, the floor
+            if not v >= 0:
+                return math.nan
+            return math.sqrt(v) if math.sqrt(v) > floor else floor
+
+        want = np.array([floored_root(v) for v in values])
         nan = np.isnan(want)
         np.testing.assert_array_equal(np.isnan(est.sd), nan)
         assert est.sd[~nan].tobytes() == want[~nan].tobytes()
