@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .signals import as_signal
 
@@ -123,8 +124,8 @@ def _analysis_step(approx: np.ndarray, g: np.ndarray, h: np.ndarray | None, out=
 
     Returns the approximation and the detail, or the approximation alone
     when ``h`` is None. The approximation is written into ``out`` when it
-    is given, an array of its shape. Longer filters sum even and odd taps
-    apart.
+    is given, an array of its shape. Longer filters take the polyphase form
+    (Vetterli & Kovacevic 1995, ch. 3): periodic step-2 windows times ``[g h]``.
     """
     m = approx.shape[-1]
     if g.size == 2:
@@ -138,21 +139,20 @@ def _analysis_step(approx: np.ndarray, g: np.ndarray, h: np.ndarray | None, out=
         return lo, hi
     k = g.size - 2  # extend the row periodically by k samples, wrapping while m < k
     ext = np.concatenate([approx] * (1 + k // m) + [approx[..., :k % m]], axis=-1)
-    taps = [ext[..., i:i + m:2] for i in range(g.size)]
-
-    def filtered(f, out=None):
-        even_odd = [taps[0] * f[0], taps[1] * f[1]]
-        for i in range(2, f.size):
-            even_odd[i % 2] += taps[i] * f[i]
-        return np.add(*even_odd, out=even_odd[0] if out is None else out)
-    lo = filtered(g, out)
-    return lo if h is None else (lo, filtered(h))
+    # column 0 never depends on column 1: a zeroed level's lo has the full step's bits
+    both = sliding_window_view(ext, g.size, axis=-1)[..., ::2, :] @ np.stack(
+        [g, g if h is None else h], axis=1)
+    lo = both[..., 0]
+    if out is not None:
+        out[...] = lo
+        lo = out
+    return lo if h is None else (lo, both[..., 1].copy())
 
 
 def _synthesis_rows(approx: np.ndarray, detail: np.ndarray, g: np.ndarray, h: np.ndarray):
-    """The transpose of :func:`_analysis_step` along the last axis, as the leading
-    2 * ``approx.shape[-1]`` columns of one new C array (L - 2 more columns
-    follow for filters of length L > 2).
+    """The transpose of :func:`_analysis_step` along the last axis, as one new C array of
+    2 * ``approx.shape[-1]`` columns; ``detail`` may be 0.0. For L > 2, output pair (2k,
+    2k + 1) is the periodic width-L/2 window ending at coefficient k times the reversed taps.
     """
     half = approx.shape[-1]
     shape = approx.shape[:-1] + (2 * half,)
@@ -165,15 +165,15 @@ def _synthesis_rows(approx: np.ndarray, detail: np.ndarray, g: np.ndarray, h: np
         acc += detail * h[1]
         out[..., 1::2] = acc
         return out
-    # tap i of coefficient k lands on 2k + i of a row L - 2 longer, which then folds back
-    m = shape[-1]
-    ext = np.zeros(shape[:-1] + (m + g.size - 2,))
-    for i in range(g.size):
-        ext[..., i:i + m:2] += approx * g[i] + detail * h[i]
-    out = ext[..., :m]
-    for c in range(m, ext.shape[-1], m):
-        out[..., :min(m, ext.shape[-1] - c)] += ext[..., c:c + m]
-    return ext
+    k = g.size // 2 - 1  # extend in front by k samples, wrapping while half < k
+
+    def windowed(c, f):
+        ext = np.concatenate([c[..., half - k % half:]] + [c] * (1 + k // half), axis=-1)
+        return sliding_window_view(ext, k + 1, axis=-1) @ f.reshape(-1, 2)[::-1]
+    out = windowed(approx, g)
+    if not np.isscalar(detail):
+        out += windowed(detail, h)
+    return out.reshape(shape)
 
 
 def dwt_forward(x, basis: WaveletBasis | None = None) -> CoeffPyramid:
@@ -195,7 +195,7 @@ def dwt_inverse(p: CoeffPyramid, basis: WaveletBasis | None = None) -> np.ndarra
     for detail in p.details:
         if detail.size != approx.size:
             raise ValueError("malformed pyramid: level sizes must double")
-        approx = _synthesis_rows(approx, detail, g, h)[:2 * approx.size]
+        approx = _synthesis_rows(approx, detail, g, h)
     return approx
 
 
@@ -214,7 +214,7 @@ def _support_lengths(basis: WaveletBasis, n: int) -> tuple[int, ...]:
         detail = v.copy()
         detail[0] = 1.0
         while v.size < n:
-            v = _synthesis_rows(v, detail, g, h)[:2 * v.size]
+            v = _synthesis_rows(v, detail, g, h)
             detail = 0.0
         v = np.abs(v)
         lengths.append(int(np.flatnonzero(v > 1e-12 * np.max(v))[-1]) + 1)
@@ -370,8 +370,7 @@ def cycle_spin(x, basis: WaveletBasis, shifts: int, max_level: int,
         shrunk.append(shrink(detail, lam))
         first_thr.append(lam[0].copy())
     for d in reversed(range(depth)):
-        ext = _synthesis_rows(rows, 0.0 if shrunk[d] is None else shrunk[d], g, h)
-        y = ext[:, :2 * rows.shape[1]]
+        y = _synthesis_rows(rows, 0.0 if shrunk[d] is None else shrunk[d], g, h)
         parents = min(shifts, 1 << d)
         odd = y.shape[0] - parents
         q, m = divmod(shifts, 2 << d)
@@ -382,9 +381,8 @@ def cycle_spin(x, basis: WaveletBasis, shifts: int, max_level: int,
         _weigh(y, q, m, y.shape[0], np.multiply)
         if odd:  # each child rotated back onto its parent
             wrap = y[:odd, -1] + y[parents:, 0]
-            # column c + 1 onto c over whole rows of ext; its columns past y are never read
-            w = ext.shape[1]
-            flat = ext.reshape(-1)
+            w = y.shape[1]  # column c + 1 onto c over whole rows
+            flat = y.reshape(-1)
             flat[:odd * w - 1] += flat[parents * w + 1:(parents + odd) * w]
             y[:odd, -1] = wrap  # where the flat add crossed rows
         _weigh(y, *total, parents, np.divide)
