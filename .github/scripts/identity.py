@@ -1,6 +1,6 @@
 """Check that this checkout computes the same bits as another tree.
 
-Usage: python .github/scripts/identity.py --against REV|DIR [--min-n N] [--max-n N]
+Usage: python .github/scripts/identity.py --against REV|DIR [--min-n N] [--max-n N] [--all]
 
 REV is a git revision of this repository, exported with ``git archive``; DIR
 is a directory that holds ``src/fiszkit``. Each tree runs in its own process
@@ -23,6 +23,9 @@ Poisson blocks and exponential bumps:
 A case that raises ValueError is compared by its message. The first array
 that differs is printed with its largest relative difference, and the exit
 code is 1; with no difference it is 0, and 2 on a usage or set-up error.
+With ``--all`` the walk goes on past a difference: every differing array is
+printed, then their count, and the exit code is 1 if any differ. A change
+that moves outputs on purpose quotes that list.
 """
 
 from __future__ import annotations
@@ -175,36 +178,46 @@ def difference(a, b) -> str | None:
     return f"largest relative difference {np.max(rel):.3g}"
 
 
-def first_difference(streams, label: str):
-    """Walk both record streams in step; return (arrays compared, the first difference or None)."""
-    count, size, t0 = 0, None, time.perf_counter()
+def walk(streams, label: str, report_all: bool):
+    """Walk both record streams in step; return (identical arrays, differing arrays, problem).
+
+    The problem, or None, is what stopped the walk: a stream that ended early,
+    a different case order, or, unless ``report_all``, the first difference.
+    With ``report_all`` each differing array is printed as it is found.
+    """
+    count, differ, size, t0 = 0, 0, None, time.perf_counter()
     for here, there in zip_longest(*(records(s) for s in streams)):
         if here is None or there is None:
             side = "this checkout" if here is None else label
-            return count, f"{side} stopped before {(here or there)[0]!r}"
+            return count, differ, f"{side} stopped before {(here or there)[0]!r}"
         (name, a), (name_there, b) = here, there
         if name != name_there:
-            return count, f"case order differs: {name!r} here, {name_there!r} there"
+            return count, differ, f"case order differs: {name!r} here, {name_there!r} there"
         n = name.split()[0]
         if size not in (None, n):
             print(f"{size} done: {count} arrays identical ({time.perf_counter() - t0:.1f} s)",
                   flush=True)
         size = n
         reason = difference(a, b)
-        if reason:
-            return count, f"DIFFERS: {name}: {reason}"
-        count += 1
+        if not reason:
+            count += 1
+        elif not report_all:
+            return count, differ, f"DIFFERS: {name}: {reason}"
+        else:
+            print(f"DIFFERS: {name}: {reason}", flush=True)
+            differ += 1
     print(f"{size} done: {count} arrays identical ({time.perf_counter() - t0:.1f} s)")
-    return count, None
+    return count, differ, None
 
 
-def compare(here: Path, there: Path, sizes: list[int], label: str) -> int:
+def compare(here: Path, there: Path, sizes: list[int], label: str,
+            report_all: bool = False) -> int:
     procs = [subprocess.Popen([sys.executable, __file__, "--emit", str(tree),
                                "--sizes", ",".join(map(str, sizes))], stdout=subprocess.PIPE)
              for tree in (here, there)]
-    count, problem = 0, "interrupted"
+    count, differ, problem = 0, 0, "interrupted"
     try:
-        count, problem = first_difference([p.stdout for p in procs], label)
+        count, differ, problem = walk([p.stdout for p in procs], label, report_all)
     finally:
         for p in procs:
             if problem:  # a tree still writing would block on its full pipe
@@ -215,6 +228,10 @@ def compare(here: Path, there: Path, sizes: list[int], label: str) -> int:
         problem = f"a tree exited with {[p.returncode for p in procs]}"
     if problem:
         print(f"{problem} (after {count} identical arrays)")
+        return 1
+    if differ:
+        print(f"{differ} arrays differ against {label}, {count} identical, "
+              f"at n = {sizes[0]} ... {sizes[-1]}")
         return 1
     print(f"no difference against {label}: {count} arrays at n = {sizes[0]} ... {sizes[-1]}")
     return 0
@@ -237,6 +254,8 @@ def main(argv=None) -> int:
     parser.add_argument("--against", help="git revision or directory holding src/fiszkit")
     parser.add_argument("--min-n", type=int, default=1 << 3)
     parser.add_argument("--max-n", type=int, default=1 << 14)
+    parser.add_argument("--all", action="store_true",
+                        help="list every differing array instead of stopping at the first")
     parser.add_argument("--emit", type=Path, help=argparse.SUPPRESS)
     parser.add_argument("--sizes", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -251,7 +270,7 @@ def main(argv=None) -> int:
         tree = Path(args.against)
         if not (tree / "src" / "fiszkit" / "__init__.py").is_file():
             parser.error(f"no src/fiszkit under {tree}")
-        return compare(ROOT, tree, sizes, str(tree))
+        return compare(ROOT, tree, sizes, str(tree), args.all)
     with tempfile.TemporaryDirectory(prefix="identity-") as tmp:
         try:
             tree = export(args.against, Path(tmp))
@@ -259,7 +278,7 @@ def main(argv=None) -> int:
             print(f"identity: git archive {args.against}: {exc.stderr.decode().strip()}",
                   file=sys.stderr)
             return 2
-        return compare(ROOT, tree, sizes, args.against)
+        return compare(ROOT, tree, sizes, args.against, args.all)
 
 
 if __name__ == "__main__":

@@ -7,19 +7,17 @@ grid spanning the fitted range; the grid values are made nondecreasing by
 pool-adjacent-violators regression and floored away from zero. The result
 is a step function that can be queried at any mean value.
 
-The kernel has compact support of width b, so the smoother sorts the
-fitted values once and weights, at each grid point, only the sorted
-slice that falls in its window (the compact-support case of Fan & Marron
-1994, *Fast implementations of nonparametric curve estimators*): O(n log n)
-time and O(n) memory, with no grid × n array and no Python loop per grid
-point.
+The kernel has compact support of width b, so the smoother sorts the fitted
+values once and weights, at each grid point, only the sorted slice in its
+window (the compact-support case of Fan & Marron 1994, *Fast implementations
+of nonparametric curve estimators*): O(n log n) time and O(n) memory.
 """
 
 from __future__ import annotations
 
 import operator
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Union
 
 import numpy as np
@@ -283,10 +281,10 @@ class VarianceEstimate:
     The knots must be finite and nondecreasing, one value per knot, and
     ``floor_eps`` finite and >= 0; the values themselves are checked where a
     lookup uses them. ``grid_u`` and ``values`` are stored as read-only float
-    copies, and the estimate is frozen: :func:`dataclasses.replace` makes a
-    new one. ``sd`` is the sd of each step, max(sqrt(values),
-    sqrt(floor_eps)), NaN where a value is negative or NaN; the thresholds and
-    the VST divisors are gathered from it.
+    copies and ``populated`` as a read-only bool copy. The estimate is frozen:
+    :func:`dataclasses.replace` makes a new one. ``sd`` is the sd of each step,
+    max(sqrt(values), sqrt(floor_eps)), NaN where a value is negative or NaN;
+    the thresholds and the VST divisors are gathered from it.
     """
 
     grid_u: np.ndarray
@@ -320,10 +318,16 @@ class VarianceEstimate:
         knots[0], knots[1:-1], knots[-1] = -np.inf, g[1:], np.nan
         with np.errstate(over="ignore"):
             scale = last / span if span > 0 else None
-        for name, a in (("grid_u", g), ("values", v), ("sd", sd)):
-            a.flags.writeable = False
+        pop = None if self.populated is None else np.array(self.populated, dtype=bool)
+        for name, a in (("grid_u", g), ("values", v), ("sd", sd), ("populated", pop)):
+            if a is not None:
+                a.flags.writeable = False
             object.__setattr__(self, name, a)
         object.__setattr__(self, "_lookup", (g[0], scale, last, knots, knots[1:]))
+
+    def __reduce__(self):
+        """Pickle and copy by the init fields: a copy builds its own read-only arrays and lookup."""
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
     def step_index(self, u) -> np.ndarray:
         """``np.searchsorted(grid_u[1:], u, side="right")`` on any sorted grid, 0 where u is NaN.
@@ -332,8 +336,7 @@ class VarianceEstimate:
         u_0) (G - 1) / (u_last - u_0)) clamped to the grid, and checked once
         against grid_u[i] <= u < grid_u[i + 1]; ``searchsorted`` finds the
         entries that miss, almost none on the ``np.linspace`` grids of a fit.
-        A value costs O(1) work, not a binary search. The padded knots and
-        the guess scale are built at construction.
+        Each value costs O(1); the constants are built at construction.
         """
         flat = np.asarray(u, dtype=float).reshape(-1)
         u0, scale, last, below, above = self._lookup

@@ -142,10 +142,7 @@ def _analysis_step(approx: np.ndarray, g: np.ndarray, h: np.ndarray | None, out=
     # column 0 never depends on column 1: a zeroed level's lo has the full step's bits
     both = sliding_window_view(ext, g.size, axis=-1)[..., ::2, :] @ np.stack(
         [g, g if h is None else h], axis=1)
-    lo = both[..., 0]
-    if out is not None:
-        out[...] = lo
-        lo = out
+    lo = np.positive(both[..., 0], out=out)  # a contiguous copy, into out when given
     return lo if h is None else (lo, both[..., 1].copy())
 
 

@@ -117,7 +117,7 @@ def cycle_spin_arange_weights(x, basis, shifts, max_level, threshold_fn, shrink)
         first_thr.append(lam[0].copy())
     for d in reversed(range(depth)):
         detail = shrunk[d] if shrunk[d] is not None else np.zeros_like(rows)
-        y = _synthesis_rows(rows, detail, g, h)[:, :2 * rows.shape[1]]
+        y = _synthesis_rows(rows, detail, g, h)
         parents = min(shifts, 1 << d)
         odd = y.shape[0] - parents
         if odd:

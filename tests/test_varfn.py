@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import re
 import tracemalloc
 import warnings
@@ -673,6 +675,30 @@ class TestEstimatePipeline:
         values[:] = [-1.0, np.nan, 0.0]
         assert est.query(u).tolist() == [1.0, 1.0, 4.0, 9.0]
         assert est.sd.tolist() == [1.0, 2.0, 3.0]
+
+    def test_estimate_keeps_its_own_populated_copy(self):
+        # the caller's array used to be stored as it was, writeable and shared
+        pop = np.array([True, True])
+        est = VarianceEstimate(np.array([0.0, 1.0]), np.array([1.0, 2.0]), 1e-9, populated=pop)
+        pop[0] = False
+        assert est.populated.tolist() == [True, True]
+        assert est.populated.dtype == bool and not est.populated.flags.writeable
+        assert VarianceEstimate([0.0], [1.0], 1e-9, populated=[1]).populated.dtype == bool
+
+    def test_pickle_and_deepcopy_rebuild_a_frozen_estimate(self):
+        # both used to bring the arrays back writeable, so values could change under sd
+        est = VarianceEstimate(np.array([0.0, 1.0, 3.0]), np.array([1.0, 4.0, 9.0]), 1e-9,
+                               bandwidth=0.5, half_window=1,
+                               populated=np.array([True, False, True]))
+        u = np.array([-1.0, 0.0, 0.5, 1.0, 2.9, 3.0, 7.0, np.nan])
+        for other in (pickle.loads(pickle.dumps(est)), copy.deepcopy(est), copy.copy(est)):
+            for name in ("grid_u", "values", "sd", "populated"):
+                a, b = getattr(other, name), getattr(est, name)
+                assert not a.flags.writeable
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert (other.floor_eps, other.bandwidth, other.half_window) == (1e-9, 0.5, 1)
+            assert other.step_index(u).tolist() == est.step_index(u).tolist()
+        assert pickle.loads(pickle.dumps(VarianceEstimate([0.0], [1.0], 0.0))).populated is None
 
     @pytest.mark.parametrize("floor_eps", [0.0, -0.0, 5e-324, 1e-10, 0.5])
     def test_sd_is_the_floored_root_of_each_step(self, floor_eps):
