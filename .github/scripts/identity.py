@@ -210,8 +210,7 @@ def walk(streams, label: str, report_all: bool):
     return count, differ, None
 
 
-def compare(here: Path, there: Path, sizes: list[int], label: str,
-            report_all: bool = False) -> int:
+def compare(here: Path, there: Path, sizes: list[int], label: str, report_all: bool) -> int:
     procs = [subprocess.Popen([sys.executable, __file__, "--emit", str(tree),
                                "--sizes", ",".join(map(str, sizes))], stdout=subprocess.PIPE)
              for tree in (here, there)]
