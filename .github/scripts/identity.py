@@ -1,6 +1,6 @@
 """Check that this checkout computes the same bits as another tree.
 
-Usage: python .github/scripts/identity.py --against REV|DIR [--min-n N] [--max-n N] [--all]
+Usage: python .github/scripts/identity.py --against REV|DIR [--min-n N] [--max-n N]
 
 REV is a git revision of this repository, exported with ``git archive``; DIR
 is a directory that holds ``src/fiszkit``. Each tree runs in its own process
@@ -20,12 +20,10 @@ Poisson blocks and exponential bumps:
 - for each basis: ``forward_vst`` output and divisors, and ``inverse_vst``
   of that output.
 
-A case that raises ValueError is compared by its message. The first array
-that differs is printed with its largest relative difference, and the exit
-code is 1; with no difference it is 0, and 2 on a usage or set-up error.
-With ``--all`` the walk goes on past a difference: every differing array is
-printed, then their count, and the exit code is 1 if any differ. A change
-that moves outputs on purpose quotes that list.
+A case that raises ValueError is compared by its message. Every array that
+differs is printed with its largest relative difference, then their count;
+the exit code is 1 if any differ, 0 with no difference, and 2 on a usage or
+set-up error. A change that moves outputs on purpose quotes that list.
 """
 
 from __future__ import annotations
@@ -178,12 +176,12 @@ def difference(a, b) -> str | None:
     return f"largest relative difference {np.max(rel):.3g}"
 
 
-def walk(streams, label: str, report_all: bool):
+def walk(streams, label: str):
     """Walk both record streams in step; return (identical arrays, differing arrays, problem).
 
-    The problem, or None, is what stopped the walk: a stream that ended early,
-    a different case order, or, unless ``report_all``, the first difference.
-    With ``report_all`` each differing array is printed as it is found.
+    Each differing array is printed as it is found. The problem, or None, is
+    what stopped the walk early: a stream that ended early or a different
+    case order.
     """
     count, differ, size, t0 = 0, 0, None, time.perf_counter()
     for here, there in zip_longest(*(records(s) for s in streams)):
@@ -201,8 +199,6 @@ def walk(streams, label: str, report_all: bool):
         reason = difference(a, b)
         if not reason:
             count += 1
-        elif not report_all:
-            return count, differ, f"DIFFERS: {name}: {reason}"
         else:
             print(f"DIFFERS: {name}: {reason}", flush=True)
             differ += 1
@@ -210,13 +206,13 @@ def walk(streams, label: str, report_all: bool):
     return count, differ, None
 
 
-def compare(here: Path, there: Path, sizes: list[int], label: str, report_all: bool) -> int:
+def compare(here: Path, there: Path, sizes: list[int], label: str) -> int:
     procs = [subprocess.Popen([sys.executable, __file__, "--emit", str(tree),
                                "--sizes", ",".join(map(str, sizes))], stdout=subprocess.PIPE)
              for tree in (here, there)]
     count, differ, problem = 0, 0, "interrupted"
     try:
-        count, differ, problem = walk([p.stdout for p in procs], label, report_all)
+        count, differ, problem = walk([p.stdout for p in procs], label)
     finally:
         for p in procs:
             if problem:  # a tree still writing would block on its full pipe
@@ -253,8 +249,6 @@ def main(argv=None) -> int:
     parser.add_argument("--against", help="git revision or directory holding src/fiszkit")
     parser.add_argument("--min-n", type=int, default=1 << 3)
     parser.add_argument("--max-n", type=int, default=1 << 14)
-    parser.add_argument("--all", action="store_true",
-                        help="list every differing array instead of stopping at the first")
     parser.add_argument("--emit", type=Path, help=argparse.SUPPRESS)
     parser.add_argument("--sizes", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -269,7 +263,7 @@ def main(argv=None) -> int:
         tree = Path(args.against)
         if not (tree / "src" / "fiszkit" / "__init__.py").is_file():
             parser.error(f"no src/fiszkit under {tree}")
-        return compare(ROOT, tree, sizes, str(tree), args.all)
+        return compare(ROOT, tree, sizes, str(tree))
     with tempfile.TemporaryDirectory(prefix="identity-") as tmp:
         try:
             tree = export(args.against, Path(tmp))
@@ -277,7 +271,7 @@ def main(argv=None) -> int:
             print(f"identity: git archive {args.against}: {exc.stderr.decode().strip()}",
                   file=sys.stderr)
             return 2
-        return compare(ROOT, tree, sizes, args.against, args.all)
+        return compare(ROOT, tree, sizes, args.against)
 
 
 if __name__ == "__main__":

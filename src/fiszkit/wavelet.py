@@ -124,8 +124,8 @@ def _analysis_step(approx: np.ndarray, g: np.ndarray, h: np.ndarray | None, out=
 
     Returns the approximation and the detail, or the approximation alone
     when ``h`` is None. The approximation is written into ``out`` when it
-    is given, an array of its shape. Longer filters take the polyphase form
-    (Vetterli & Kovacevic 1995, ch. 3): periodic step-2 windows times ``[g h]``.
+    is given, an array of its shape. Longer filters take the polyphase form (Vetterli &
+    Kovacevic 1995, ch. 3): periodic step-2 windows times ``g``, and times ``h``.
     """
     m = approx.shape[-1]
     if g.size == 2:
@@ -139,17 +139,15 @@ def _analysis_step(approx: np.ndarray, g: np.ndarray, h: np.ndarray | None, out=
         return lo, hi
     k = g.size - 2  # extend the row periodically by k samples, wrapping while m < k
     ext = np.concatenate([approx] * (1 + k // m) + [approx[..., :k % m]], axis=-1)
-    # column 0 never depends on column 1: a zeroed level's lo has the full step's bits
-    both = sliding_window_view(ext, g.size, axis=-1)[..., ::2, :] @ np.stack(
-        [g, g if h is None else h], axis=1)
-    lo = np.positive(both[..., 0], out=out)  # a contiguous copy, into out when given
-    return lo if h is None else (lo, both[..., 1].copy())
+    win = sliding_window_view(ext, g.size, axis=-1)[..., ::2, :]
+    lo = np.matmul(win, g, out=out)  # its own product: a zeroed level gets the full step's bits
+    return lo if h is None else (lo, win @ h)
 
 
 def _synthesis_rows(approx: np.ndarray, detail: np.ndarray, g: np.ndarray, h: np.ndarray):
     """The transpose of :func:`_analysis_step` along the last axis, as one new C array of
-    2 * ``approx.shape[-1]`` columns; ``detail`` may be 0.0. For L > 2, output pair (2k,
-    2k + 1) is the periodic width-L/2 window ending at coefficient k times the reversed taps.
+    2 * ``approx.shape[-1]`` columns; ``detail`` may be a scalar. For L > 2, output pair
+    (2k, 2k + 1) is the periodic width-L/2 window ending at coefficient k times the reversed taps.
     """
     half = approx.shape[-1]
     shape = approx.shape[:-1] + (2 * half,)
@@ -168,8 +166,8 @@ def _synthesis_rows(approx: np.ndarray, detail: np.ndarray, g: np.ndarray, h: np
         ext = np.concatenate([c[..., half - k % half:]] + [c] * (1 + k // half), axis=-1)
         return sliding_window_view(ext, k + 1, axis=-1) @ f.reshape(-1, 2)[::-1]
     out = windowed(approx, g)
-    if not np.isscalar(detail):
-        out += windowed(detail, h)
+    if not (np.isscalar(detail) and detail == 0):
+        out += windowed(np.broadcast_to(detail, approx.shape), h)
     return out.reshape(shape)
 
 

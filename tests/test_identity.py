@@ -34,15 +34,11 @@ def test_identity_finds_no_difference_in_a_copy_and_one_in_a_perturbed_tap(tmp_p
     assert "no difference against" in capsys.readouterr().out
     assert identity.main(["--against", str(tap), "--max-n", "256"]) == 1
     out = capsys.readouterr().out
-    assert "DIFFERS: n=8 blocks-poisson daub4 full fitted hard values: largest relative " \
-           "difference" in out
-
-    assert identity.main(["--against", str(tap), "--max-n", "16", "--all"]) == 1
-    out = capsys.readouterr().out
     differs = re.findall(r"^DIFFERS: (n=\d+ \S+ (\w+) .*): largest relative difference "
                          r"(\S+)$", out, re.M)
     assert len(differs) > 1  # the walk goes on past the first difference
+    assert differs[0][0] == "n=8 blocks-poisson daub4 full fitted hard values"
     assert f"{len(differs)} arrays differ against {tap}" in out
-    assert "n=16 bumps-exponential daub4 full fitted hard values" in [d[0] for d in differs]
+    assert "n=256 bumps-exponential daub4 full fitted hard values" in [d[0] for d in differs]
     assert {d[1] for d in differs} == {"daub4"}  # only the perturbed basis moves
     assert all(float(d[2]) > 0 for d in differs)

@@ -187,14 +187,20 @@ class TestTransform:
         sizes = list(range(2, 17, 2)) + [1 << k for k in range(5, 11)]
         for shape in [(m,) for m in sizes] + [(r, m) for r in (1, 2, 3) for m in sizes]:
             x, y = rng.uniform(-30.0, 30.0, shape), rng.uniform(-30.0, 30.0, shape)
-            for got, want in zip(_analysis_step(x, g, h), analysis_step_gather(x, g, h)):
+            step = _analysis_step(x, g, h)
+            for got, want in zip(step, analysis_step_gather(x, g, h)):
                 assert got.shape == want.shape
                 assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(x))
+            assert _analysis_step(x, g, None).tobytes() == step[0].tobytes()  # a zeroed level
             got = _synthesis_rows(x, y, g, h)
             want = synthesis_step_scatter(x, y, g, h)
             assert got.shape == want.shape == shape[:-1] + (2 * shape[-1],)
             assert got.flags.c_contiguous  # the engine's flat row moves need a view
             assert np.max(np.abs(got - want)) <= 1e-15 * max(np.max(np.abs(x)), np.max(np.abs(y)))
+            got = _synthesis_rows(x, 0.5, g, h)  # a scalar detail stands for a constant row
+            want = synthesis_step_scatter(x, np.full(shape, 0.5), g, h)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(x))
 
     def test_malformed_pyramid_rejected(self):
         with pytest.raises(ValueError):
