@@ -21,7 +21,10 @@ Poisson blocks and exponential bumps:
   of that output.
 
 A case that raises ValueError is compared by its message. Every array that
-differs is printed with its largest relative difference, then their count;
+differs is printed with its largest relative difference, entry by entry, and
+its largest absolute difference over its largest finite |value|, which stays
+at rounding level where an entry near zero makes the first figure large;
+then their count is printed;
 the exit code is 1 if any differ, 0 with no difference, and 2 on a usage or
 set-up error. A change that moves outputs on purpose quotes that list.
 """
@@ -167,13 +170,16 @@ def difference(a, b) -> str | None:
         return f"{np.count_nonzero(a != b)} of {a.size} entries differ"
     if not np.array_equal(np.isnan(a), np.isnan(b)):
         return "NaN at different entries"
-    with np.errstate(invalid="ignore", over="ignore"):
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        diff = np.where((a == b) | np.isnan(a), 0.0, np.abs(a - b))  # NaN sits at the same entries
+        if not diff.any():
+            return "same values, different bits (signed zeros or NaN payloads)"
         scale = np.maximum(np.abs(a), np.abs(b))
-        rel = np.where(a == b, 0.0, np.abs(a - b) / scale)
-    rel[np.isnan(a)] = 0.0
-    if not np.max(rel) > 0:
-        return "same values, different bits (signed zeros or NaN payloads)"
-    return f"largest relative difference {np.max(rel):.3g}"
+        rel = np.divide(diff, scale, out=np.zeros_like(diff), where=diff > 0)
+        rel[np.isnan(rel)] = np.inf  # an infinity on one side only
+        top = np.max(scale, where=np.isfinite(scale), initial=0.0)
+        return (f"largest relative difference {np.max(rel):.3g}, "
+                f"largest difference {np.max(diff) / top:.3g} of the largest finite |value|")
 
 
 def walk(streams, label: str):

@@ -212,16 +212,18 @@ def estimate(x, cfg: EstimatorConfig | None = None) -> EstimateResult:
 def _running_mad(values: np.ndarray, window: int) -> np.ndarray:
     """Median absolute deviation over a periodic window, along the last axis.
 
-    Bit-identical to ``np.median`` of the window stack. The windows are
-    taken a block of columns at a time, at most max(8 * values.size, 2**16)
-    values per block, so memory stays O(n). Each window is sorted once, and
-    its MAD selected from the deviations in O(w) (:func:`_mad_of_deviations`).
-    Windows of two values need no sort: their median (a + b) / 2 and their
+    Bit-identical to ``np.median`` of the window stack. One value has the
+    MAD |v - v|. Two values need no sort: their median (a + b) / 2 and their
     MAD (|a - med| + |b - med|) / 2 are the same bits in either order, NaN
-    included.
+    included. Wider windows are sorted once, by a network up to 17 values
+    (:func:`_mad_of_columns`, blocks of 2**16 values) and by ``np.sort``
+    beyond (blocks of max(8 * values.size, 2**16) values), and their MAD is
+    selected from the deviations in O(w) (:func:`_mad_of_deviations`).
     """
     m = values.shape[-1]
     w = min(window, m)
+    if w == 1:
+        return np.abs(values - values)
     lead = w // 2
     padded = np.concatenate([values[..., m - lead:], values, values[..., :w - 1 - lead]], axis=-1)
     if w == 2:  # the window at p is (values[p - 1], values[p])
@@ -234,22 +236,27 @@ def _running_mad(values: np.ndarray, window: int) -> np.ndarray:
         mad += np.abs(dev, out=dev)
         mad /= 2
         return mad
-    block_cols = max(1, max(8 * values.size, 1 << 16) // (w * (values.size // m)))
+    network = w <= _NETWORK_WIDTH
+    block = (1 << 16) // (w + 1) if network else max(8 * values.size, 1 << 16) // w
+    block_cols = max(1, block // (values.size // m))
     out = np.empty(values.shape)
     for c in range(0, m, block_cols):
         stop = min(c + block_cols, m)
-        if w <= _NETWORK_WIDTH:
-            out[..., c:stop] = _mad_of_columns([padded[..., c + i:stop + i] for i in range(w)])
+        if network:
+            buf = np.empty((w + 1, *values.shape[:-1], stop - c))
+            for i in range(w):
+                buf[i] = padded[..., c + i:stop + i]
+            out[..., c:stop] = _mad_of_columns(buf)
         else:
             windows = np.lib.stride_tricks.sliding_window_view(padded[..., c:], w, axis=-1)
             out[..., c:stop] = _mad_in_place(windows[..., :stop - c, :].copy())
     return out
 
 
-# numpy's sort costs about 40 ns per row on top of the comparisons, most of
-# the cost for windows of 2 to 5 values; at 9 values a network of w(w-1)/2
-# compare-exchanges over n-arrays is already slower at n = 2**17
-_NETWORK_WIDTH = 5
+# numpy's sort costs about 40 ns per row on top of the comparisons; a network in a
+# buffer that stays in cache took 1.6-3.4x less time at 3 to 17 values on (1, 2**17)
+# rows (2-core Xeon VM, numpy 2.4.6). 17 is the default depth's widest at n = 2048.
+_NETWORK_WIDTH = 17
 
 
 def _middle(cols) -> np.ndarray:
@@ -272,26 +279,44 @@ def _mad_in_place(windows: np.ndarray) -> np.ndarray:
     return _mad_of_deviations(cols)
 
 
-def _sort_columns(cols: list) -> None:
-    """Odd-even transposition sort across the arrays of ``cols``, elementwise.
+@cache
+def _merge_exchange(w: int) -> tuple:
+    """The compare-exchanges (i, j), i < j, of Batcher's merge-exchange sort of w values.
 
-    After len(cols) rounds of compare-exchanges of neighbours (Knuth,
-    TAOCP vol. 3, 5.3.4), cols[i] holds the i-th smallest value at every
-    position. A NaN makes both outputs of an exchange NaN, and in a sorting
-    network every input reaches every output, so a NaN leaves its window
-    NaN in every array.
+    Knuth, TAOCP vol. 3, 5.2.2, Algorithm M: 3, 9, 26 and 74 exchanges at
+    w = 3, 5, 9 and 17, against w(w-1)/2 for odd-even transposition.
     """
-    for r in range(len(cols)):
-        for i in range(r % 2, len(cols) - 1, 2):
-            a, b = cols[i], cols[i + 1]
-            cols[i], cols[i + 1] = np.minimum(a, b), np.maximum(a, b)
+    pairs, t = [], (w - 1).bit_length()
+    p = 1 << t >> 1
+    while p:
+        q, r, d = 1 << t >> 1, 0, p
+        while d:  # d = q - p is 0 after the pass with q = p
+            pairs += [(i, i + d) for i in range(w - d) if i & p == r]
+            q, r, d = q >> 1, p, q - p
+        p >>= 1
+    return tuple(pairs)
 
 
-def _mad_of_columns(cols: list) -> np.ndarray:
-    """MAD of the windows whose values are ``cols[0] .. cols[w-1]``; as :func:`_mad_in_place`."""
-    _sort_columns(cols)
-    med = _middle(cols)
-    return _mad_of_deviations([np.abs(c - med) for c in cols])
+def _mad_of_columns(buf: np.ndarray) -> np.ndarray:
+    """MAD of the windows whose values are ``buf[0] .. buf[w-1]``; as :func:`_mad_in_place`.
+
+    ``buf[w]`` is a spare row. Each exchange of :func:`_merge_exchange` writes
+    its min into the spare and its max over its larger row; its smaller row
+    becomes the spare. A NaN makes both outputs NaN, and in a sorting network
+    every input reaches every output, so a NaN leaves its window NaN in every
+    row. The rows, the spare's window values too, end as the deviations.
+    """
+    rows = list(buf)
+    w = len(rows) - 1
+    slot, spare = list(range(w)), w  # rows[slot[i]] holds the i-th smallest values
+    for i, j in _merge_exchange(w):
+        a, b = rows[slot[i]], rows[slot[j]]
+        np.minimum(a, b, out=rows[spare])
+        np.maximum(a, b, out=b)
+        slot[i], spare = spare, slot[i]
+    cols = [rows[s] for s in slot]
+    np.abs(np.subtract(buf, _middle(cols), out=buf), out=buf)
+    return _mad_of_deviations(cols)
 
 
 def _mad_of_deviations(devs) -> np.ndarray:
@@ -336,6 +361,9 @@ def baseline_mad_estimate(x, cfg: EstimatorConfig | None = None) -> np.ndarray:
     cfg = cfg or EstimatorConfig()
 
     def level_thresholds(j, rows, factor):
-        return MAD_TO_SIGMA * _running_mad(rows, _mad_window(j)) * factor
+        mad = _running_mad(rows, _mad_window(j))
+        mad *= MAD_TO_SIGMA
+        mad *= factor
+        return mad
 
     return _denoise(as_signal(x), cfg, level_thresholds)[0]

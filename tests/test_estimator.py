@@ -15,7 +15,8 @@ from fiszkit import (EstimatorConfig, NoiseModel, SeedSpec, VarianceEstimate,
                      estimate, estimate_variance_function, haar, hard_threshold,
                      local_means, make_blocks, make_bumps, sample_noise, soft_threshold,
                      thresholds_data_driven, thresholds_known_h, universal_factor)
-from fiszkit.estimator import MAD_TO_SIGMA, _mad_window, _running_mad, coefficient_sd
+from fiszkit.estimator import (MAD_TO_SIGMA, _mad_window, _merge_exchange, _running_mad,
+                               coefficient_sd)
 from fiszkit.wavelet import (BASIS_NAMES, _analysis_step, _checked_thresholds, _synthesis_rows,
                              basis_by_name, cycle_spin, shifted_local_means)
 
@@ -733,6 +734,13 @@ class TestBaseline:
     @example(8, 300, 257, 69, (None, None), 0.02)
     @example(8, 200, 150, 69, (0, None), 0.02)
     @example(1, 300, 257, 69, (None, 0), 0.02)
+    # network windows whose rows span several network blocks, a block of one column, and
+    # even network windows
+    @example(64, 300, 9, 71, (None, None), 0.02)
+    @example(64, 300, 17, 72, (0, None), 0.02)
+    @example(4000, 20, 17, 73, (None, None), 0.02)
+    @example(8, 200, 6, 74, (None, None), 0.3)
+    @example(8, 200, 16, 75, (None, 0), 0.02)
     @two_value_windows  # the sort-free path
     def test_running_mad_bit_identical_to_sorting_twice(self, rows, m, window, seed, clip, share):
         # ties, ±0.0, ±inf, NaN and ±1.7e308, whose pairs overflow an even window's median;
@@ -765,16 +773,40 @@ class TestBaseline:
 
     def test_running_mad_memory_is_linear(self):
         # full averaging at n = 2^14: the finest thresholded level (j = 11)
-        # holds 8 rows of 2048, and a window stack would be 129 arrays of n
-        n, j = 1 << 14, 11
-        rows = np.random.default_rng(67).normal(size=(n >> j, 1 << j))
-        tracemalloc.start()
-        try:
-            _running_mad(rows, _mad_window(j))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 16 * 8 * n
+        # holds 8 rows of 2048, and a window stack would be 129 arrays of n;
+        # j = 8 holds 64 rows of 256 in windows of 17, the widest network
+        n = 1 << 14
+        for j in (11, 8):
+            rows = np.random.default_rng(67).normal(size=(n >> j, 1 << j))
+            tracemalloc.start()
+            try:
+                _running_mad(rows, _mad_window(j))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 16 * 8 * n, j
+
+    @pytest.mark.parametrize("window", [1, 2, 17])
+    def test_running_mad_of_one_value_per_row(self, window):
+        # the j = 0 level: each row holds one coefficient, so the window clips to one value
+        values = np.array([1.0, -0.0, 0.0, np.inf, -np.inf, np.nan, 1.7e308, -5e-324])[:, None]
+        with np.errstate(invalid="ignore"):
+            got = _running_mad(values, window)
+            want = mad_sort_twice(values, window)
+        nan = np.isnan(want)
+        np.testing.assert_array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+
+    def test_merge_exchange_sorts_every_column_of_zeros_and_ones(self):
+        # a network that sorts every 0-1 input sorts every input (Knuth, TAOCP vol. 3, 5.3.4)
+        for w in range(1, 18):
+            pairs = _merge_exchange(w)
+            assert all(0 <= i < j < w for i, j in pairs)
+            rows = np.arange(1 << w) >> np.arange(w)[:, None] & 1
+            for i, j in pairs:
+                rows[i], rows[j] = np.minimum(rows[i], rows[j]), np.maximum(rows[i], rows[j])
+            assert (rows[:-1] <= rows[1:]).all(), w
+        assert [len(_merge_exchange(w)) for w in (3, 5, 9, 17)] == [3, 9, 26, 74]
 
     def test_zero_noise_constant_is_identity(self):
         x = np.full(128, 4.0)

@@ -34,11 +34,24 @@ def test_identity_finds_no_difference_in_a_copy_and_one_in_a_perturbed_tap(tmp_p
     assert "no difference against" in capsys.readouterr().out
     assert identity.main(["--against", str(tap), "--max-n", "256"]) == 1
     out = capsys.readouterr().out
-    differs = re.findall(r"^DIFFERS: (n=\d+ \S+ (\w+) .*): largest relative difference "
-                         r"(\S+)$", out, re.M)
+    differs = re.findall(r"^DIFFERS: (n=\d+ \S+ (\w+) .*): largest relative difference (\S+), "
+                         r"largest difference \S+ of the largest finite \|value\|$", out, re.M)
     assert len(differs) > 1  # the walk goes on past the first difference
     assert differs[0][0] == "n=8 blocks-poisson daub4 full fitted hard values"
     assert f"{len(differs)} arrays differ against {tap}" in out
     assert "n=256 bumps-exponential daub4 full fitted hard values" in [d[0] for d in differs]
     assert {d[1] for d in differs} == {"daub4"}  # only the perturbed basis moves
     assert all(float(d[2]) > 0 for d in differs)
+
+
+def test_difference_gives_the_largest_difference_over_the_largest_value():
+    difference = load_identity().difference
+    a = np.array([1.0, 1e-20, -3.0])
+    b = np.array([1.0, -1e-20, -3.0])  # one entry near zero flips its sign
+    assert difference(a, b) == ("largest relative difference 2, "
+                                "largest difference 6.67e-21 of the largest finite |value|")
+    # an infinity on one side only is a difference, not the same value
+    assert difference(np.array([np.inf, 1.0]), np.array([0.0, 1.0])) == (
+        "largest relative difference inf, largest difference inf of the largest finite |value|")
+    assert difference(np.array([0.0, np.nan]), np.array([-0.0, np.nan])) == (
+        "same values, different bits (signed zeros or NaN payloads)")
