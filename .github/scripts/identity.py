@@ -23,10 +23,10 @@ Poisson blocks and exponential bumps:
 A case that raises ValueError is compared by its message. Every array that
 differs is printed with its largest relative difference, entry by entry, and
 its largest absolute difference over its largest finite |value|, which stays
-at rounding level where an entry near zero makes the first figure large;
-then their count is printed;
-the exit code is 1 if any differ, 0 with no difference, and 2 on a usage or
-set-up error. A change that moves outputs on purpose quotes that list.
+at rounding level where an entry near zero makes the first figure large.
+Their count follows; the exit code is 1 if any differ, 0 with no difference,
+and 2 on a usage or set-up error. A change that moves outputs on purpose
+quotes that list.
 """
 
 from __future__ import annotations
@@ -176,7 +176,7 @@ def difference(a, b) -> str | None:
             return "same values, different bits (signed zeros or NaN payloads)"
         scale = np.maximum(np.abs(a), np.abs(b))
         rel = np.divide(diff, scale, out=np.zeros_like(diff), where=diff > 0)
-        rel[np.isnan(rel)] = np.inf  # an infinity on one side only
+        rel[np.isnan(rel)] = np.inf  # inf / inf: an infinity against another value
         top = np.max(scale, where=np.isfinite(scale), initial=0.0)
         return (f"largest relative difference {np.max(rel):.3g}, "
                 f"largest difference {np.max(diff) / top:.3g} of the largest finite |value|")

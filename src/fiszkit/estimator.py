@@ -254,7 +254,7 @@ def _running_mad(values: np.ndarray, window: int) -> np.ndarray:
 
 
 # numpy's sort costs about 40 ns per row on top of the comparisons; a network in a
-# buffer that stays in cache took 1.6-3.4x less time at 3 to 17 values on (1, 2**17)
+# buffer that stays in cache took 1.5-3.3x less time at 3 to 17 values on (1, 2**17)
 # rows (2-core Xeon VM, numpy 2.4.6). 17 is the default depth's widest at n = 2048.
 _NETWORK_WIDTH = 17
 
