@@ -142,9 +142,7 @@ def _bench_config(args) -> EstimatorConfig:
     cfg = _estimator_config(args)
     # bench reads no file, so a length its fit or its levels cannot take is a usage error
     cfg.varfn.check_length(args.n)
-    depth = args.n.bit_length() - 1
-    if cfg.resolve_max_level(depth) > depth:
-        raise ValueError(f"max_level must be in [1, {depth}], got {cfg.max_level}")
+    cfg.resolve_max_level(args.n.bit_length() - 1)
     return cfg
 
 

@@ -51,12 +51,11 @@ __all__ = [
 MAD_TO_SIGMA = 1.4826  # normal-consistency constant for the MAD
 
 
-@cache  # every thresholded level of every call asks for it
 def universal_factor(max_level: int) -> float:
     """sqrt(2 log N) for the N = 2^max_level - 1 detail coefficients of levels < max_level.
 
     One level gives sqrt(2 log 1) = 0. The range check against a signal's
-    depth is the engine's (:func:`fiszkit.wavelet.cycle_spin`).
+    depth is :meth:`EstimatorConfig.resolve_max_level`'s.
     """
     if max_level < 1:
         raise ValueError(f"max_level must be >= 1, got {max_level}")
@@ -104,8 +103,11 @@ class EstimatorConfig:
             raise ValueError(f"max_level must be >= 1, got {self.max_level}")
 
     def resolve_max_level(self, depth: int) -> int:
-        """``max_level``, or max(1, depth - 2) if None; :func:`cycle_spin` checks the range."""
-        return self.max_level if self.max_level is not None else max(1, depth - 2)
+        """``max_level``, or max(1, depth - 2) if None; more than ``depth`` is an error."""
+        max_level = self.max_level if self.max_level is not None else max(1, depth - 2)
+        if max_level > depth:
+            raise ValueError(f"max_level must be in [1, {depth}], got {max_level}")
+        return max_level
 
 
 @dataclass
@@ -162,9 +164,10 @@ def apply_threshold(p: CoeffPyramid, thresholds: list[np.ndarray], rule: str,
     return CoeffPyramid(details, p.smooth)
 
 
-def _denoise(x: np.ndarray, cfg: EstimatorConfig, level_thresholds: Callable):
-    """Shift-averaged thresholding at ``level_thresholds(j, rows, factor)``, the level-j
-    sds times factor = sqrt(2 log N).
+def _denoise(x: np.ndarray, cfg: EstimatorConfig, level_sds: Callable):
+    """Shift-averaged thresholding at ``level_sds(j, rows)`` times sqrt(2 log N).
+
+    ``level_sds`` returns a new array of the level-j sds, which is scaled in place.
 
     Returns the estimate, the thresholds and survivor masks of the unshifted
     pass, and the number of shifts averaged.
@@ -175,9 +178,12 @@ def _denoise(x: np.ndarray, cfg: EstimatorConfig, level_thresholds: Callable):
     # alignment of the fine levels, where the averaging matters; strided
     # shifts would leave those levels aligned identically in every pass.
     shifts = max(1, n // cfg.shift_stride) if cfg.translation_invariant else 1
+    factor = universal_factor(max_level)
 
-    def threshold_fn(j, rows):  # called only after cycle_spin has checked max_level
-        return level_thresholds(j, rows, universal_factor(max_level))
+    def threshold_fn(j, rows):
+        lam = level_sds(j, rows)
+        lam *= factor
+        return lam
 
     values, thr, shrunk = cycle_spin(x, cfg.basis, shifts, max_level, threshold_fn,
                                      _RULES[cfg.rule])
@@ -197,37 +203,34 @@ def estimate(x, cfg: EstimatorConfig | None = None) -> EstimateResult:
     # No range check on the fitted sd: its steps are finite (PAVA checks) and >= floor_eps > 0
     # (the fit floors them), and the local means are finite (as_signal, the prefix-sum check).
 
-    def level_thresholds(j, rows, factor):
+    def level_sds(j, rows):
         lm = means(j, rows.shape[0])
         if known is not None:
-            return coefficient_sd(lm, known, j) * factor
-        lam = fitted.sd[fitted.step_index(lm)]
-        lam *= factor
-        return lam
+            return coefficient_sd(lm, known, j)
+        return fitted.sd[fitted.step_index(lm)]
 
-    values, thr, surv, shifts = _denoise(x, cfg, level_thresholds)
+    values, thr, surv, shifts = _denoise(x, cfg, level_sds)
     return EstimateResult(values, thr, surv, fitted if known is None else known, shifts)
 
 
-def _running_mad(values: np.ndarray, window: int) -> np.ndarray:
-    """Median absolute deviation over a periodic window, along the last axis.
+def _running_mad(values: np.ndarray, j: int) -> np.ndarray:
+    """Median absolute deviation of level-``j`` coefficients over a periodic window.
 
-    Bit-identical to ``np.median`` of the window stack. One value has the
-    MAD |v - v|. Two values need no sort: their median (a + b) / 2 and their
-    MAD (|a - med| + |b - med|) / 2 are the same bits in either order, NaN
-    included. Wider windows are sorted once, by a network up to 17 values
+    Along the last axis, bit-identical to ``np.median`` of the window stack.
+    The window grows with the level: level 0 holds one coefficient, whose
+    MAD is |v - v|; levels 1 to 4 take two values, which need no sort: their
+    median (a + b) / 2 and their MAD (|a - med| + |b - med|) / 2 are the same
+    bits in either order, NaN included. Level j > 4 takes the odd window of
+    w = 2^(j-4) + 1 values centred on each position, which must not exceed
+    the row. Those are sorted once, by a network up to 17 values
     (:func:`_mad_of_columns`, blocks of 2**16 values) and by ``np.sort``
     beyond (blocks of max(8 * values.size, 2**16) values), and their MAD is
     selected from the deviations in O(w) (:func:`_mad_of_deviations`).
     """
-    m = values.shape[-1]
-    w = min(window, m)
-    if w == 1:
+    if j == 0:
         return np.abs(values - values)
-    lead = w // 2
-    padded = np.concatenate([values[..., m - lead:], values, values[..., :w - 1 - lead]], axis=-1)
-    if w == 2:  # the window at p is (values[p - 1], values[p])
-        a = padded[..., :m]
+    if j <= 4:  # the window at p is (values[p - 1], values[p])
+        a = np.roll(values, 1, axis=-1)
         med = a + values
         med /= 2
         mad = a - med
@@ -236,6 +239,9 @@ def _running_mad(values: np.ndarray, window: int) -> np.ndarray:
         mad += np.abs(dev, out=dev)
         mad /= 2
         return mad
+    m, w = values.shape[-1], (1 << (j - 4)) + 1
+    lead = w // 2
+    padded = np.concatenate([values[..., m - lead:], values, values[..., :lead]], axis=-1)
     network = w <= _NETWORK_WIDTH
     block = (1 << 16) // (w + 1) if network else max(8 * values.size, 1 << 16) // w
     block_cols = max(1, block // (values.size // m))
@@ -259,23 +265,12 @@ def _running_mad(values: np.ndarray, window: int) -> np.ndarray:
 _NETWORK_WIDTH = 17
 
 
-def _middle(cols) -> np.ndarray:
-    """Median of sorted windows whose i-th smallest values are ``cols[i]``.
-
-    Even windows average their two middle values, as ``np.median`` does;
-    the result is a new array.
-    """
-    k = len(cols) // 2
-    if len(cols) % 2:
-        return cols[k].copy()
-    return (cols[k - 1] + cols[k]) / 2
-
-
 def _mad_in_place(windows: np.ndarray) -> np.ndarray:
     """MAD along the last axis; sorts ``windows`` and overwrites it with the deviations."""
     cols = np.moveaxis(windows, -1, 0)
     windows.sort(axis=-1)
-    np.abs(np.subtract(windows, _middle(cols)[..., None], out=windows), out=windows)
+    np.abs(np.subtract(windows, cols[len(cols) // 2].copy()[..., None], out=windows),
+           out=windows)
     return _mad_of_deviations(cols)
 
 
@@ -315,40 +310,31 @@ def _mad_of_columns(buf: np.ndarray) -> np.ndarray:
         np.maximum(a, b, out=b)
         slot[i], spare = spare, slot[i]
     cols = [rows[s] for s in slot]
-    np.abs(np.subtract(buf, _middle(cols), out=buf), out=buf)
+    np.abs(np.subtract(buf, cols[w // 2].copy(), out=buf), out=buf)
     return _mad_of_deviations(cols)
 
 
 def _mad_of_deviations(devs) -> np.ndarray:
-    """Median of the deviations ``devs[0] .. devs[w-1]`` of sorted windows from their medians.
+    """Median of the deviations ``devs[0] .. devs[w-1]`` of sorted odd windows from their medians.
 
     The deviations form two ascending runs, devs[c-1], .., devs[0] and
-    devs[c], .., devs[w-1] with c = w // 2. The k-th smallest of two
-    ascending runs a and b is the min over splits i of max(a_i, b_{k-i}),
-    with a_0 = b_0 = -inf (Knuth, TAOCP vol. 3, 5.3.3); here a split is
-    max(devs[t], devs[t + k - 1]), t = 0 .. w - k, the larger end deviation
-    of k consecutive sorted values, and every deviation enters one. ``max``
-    and ``min`` select without arithmetic and no deviation is -0.0, so the
-    middle values are a sort's, bit for bit, and NaN where a deviation is
-    NaN, as in ``np.median``.
+    devs[c], .., devs[w-1] with c = w // 2, and their median is the k-th
+    smallest, k = c + 1. The k-th smallest of two ascending runs a and b is
+    the min over splits i of max(a_i, b_{k-i}), with a_0 = b_0 = -inf
+    (Knuth, TAOCP vol. 3, 5.3.3); here a split is max(devs[t], devs[t + c]),
+    t = 0 .. c, the larger end deviation of k consecutive sorted values, and
+    every deviation enters one. ``max`` and ``min`` select without
+    arithmetic and no deviation is -0.0, so the median is a sort's, bit for
+    bit, and NaN where a deviation is NaN, as in ``np.median``.
     """
-    w = len(devs)
-    middle = []
-    for k in range((w + 1) // 2, w // 2 + 2):  # the middle one or two
-        splits = w - k + 1
-        if devs[0].shape[-1] < splits:  # wide windows over few positions: fewer numpy calls
-            middle.append(np.maximum(devs[:splits], devs[k - 1:]).min(axis=0))
-            continue
-        out = np.maximum(devs[0], devs[k - 1])
-        pair = np.empty_like(out)
-        for t in range(1, splits):
-            np.minimum(out, np.maximum(devs[t], devs[t + k - 1], out=pair), out=out)
-        middle.append(out)
-    return middle[0] if w % 2 else (middle[0] + middle[1]) / 2
-
-
-def _mad_window(j: int) -> int:
-    return (1 << max(0, j - 4)) + 1
+    c = len(devs) // 2
+    if devs[0].shape[-1] <= c:  # wide windows over few positions: fewer numpy calls
+        return np.maximum(devs[:c + 1], devs[c:]).min(axis=0)
+    out = np.maximum(devs[0], devs[c])
+    pair = np.empty_like(out)
+    for t in range(1, c + 1):
+        np.minimum(out, np.maximum(devs[t], devs[t + c], out=pair), out=out)
+    return out
 
 
 def baseline_mad_estimate(x, cfg: EstimatorConfig | None = None) -> np.ndarray:
@@ -360,10 +346,9 @@ def baseline_mad_estimate(x, cfg: EstimatorConfig | None = None) -> np.ndarray:
     """
     cfg = cfg or EstimatorConfig()
 
-    def level_thresholds(j, rows, factor):
-        mad = _running_mad(rows, _mad_window(j))
+    def level_sds(j, rows):
+        mad = _running_mad(rows, j)
         mad *= MAD_TO_SIGMA
-        mad *= factor
         return mad
 
-    return _denoise(as_signal(x), cfg, level_thresholds)[0]
+    return _denoise(as_signal(x), cfg, level_sds)[0]

@@ -322,6 +322,15 @@ def test_invalid_flag_value_is_usage_error(argv, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_bench_jstar_beyond_the_depth_names_the_range(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["bench", "--reps", 1, "--seed", 1, "--n", 8, "--jstar", 5,
+                 "--out", tmp_path / "out"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        "fiszkit: error: max_level must be in [1, 3], got 5"
+
+
 @pytest.mark.parametrize("flags, same_as", [
     (["--no-ti", "--stride", 1], ["--no-ti"]),
     (["--known-h", "poisson", "--M", 1, "--bandwidth", "auto", "--grid", 256],
