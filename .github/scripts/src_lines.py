@@ -5,9 +5,15 @@ column. Docstring lines are the whole line span of each module, class and
 function docstring, blank lines inside it included. Comment lines hold only
 a comment, and blank lines only whitespace; every other line is code.
 
-Usage: python .github/scripts/src_lines.py [PACKAGE_DIR]  (default: src/fiszkit)
+Usage: python .github/scripts/src_lines.py [PACKAGE_DIR] [--against BASE_DIR]
+
+PACKAGE_DIR defaults to src/fiszkit. With ``--against``, BASE_DIR is another
+package directory, such as the base commit's src/fiszkit exported with
+``git archive``: the base table, this table and their difference per column
+are printed, a module missing on one side counting as zero there.
 """
 
+import argparse
 import ast
 import sys
 from pathlib import Path
@@ -44,19 +50,46 @@ def count(path: Path) -> dict[str, int]:
     return counts
 
 
-def main(argv: list[str]) -> int:
-    root = Path(argv[1] if len(argv) > 1 else "src/fiszkit")
-    rows = [(path.name, count(path)) for path in sorted(root.glob("*.py"))]
-    if not rows:
-        print(f"no Python modules under {root}", file=sys.stderr)
-        return 1
-    total = {kind: sum(c[kind] for _, c in rows) for kind in KINDS}
-    rows.append(("total", total))
-    width = max(len(name) for name, _ in rows)
+def table(root: Path) -> dict[str, dict[str, int]]:
+    """Counts per module of ``root`` and their ``total``; empty if it holds no module."""
+    rows = {path.name: count(path) for path in sorted(root.glob("*.py"))}
+    if rows:
+        rows["total"] = {kind: sum(c[kind] for c in rows.values()) for kind in KINDS}
+    return rows
+
+
+def show(rows: dict[str, dict[str, int]], sign: str = "") -> None:
+    width = max(len(name) for name in rows)
     print(f"{'module':<{width}}  " + "  ".join(f"{k:>9}" for k in (*KINDS, "lines")))
-    for name, c in rows:
-        print(f"{name:<{width}}  " + "  ".join(f"{c[k]:>9}" for k in KINDS)
-              + f"  {sum(c.values()):>9}")
+    for name, c in rows.items():
+        print(f"{name:<{width}}  " + "  ".join(f"{c[k]:>{sign}9}" for k in KINDS)
+              + f"  {sum(c.values()):>{sign}9}")
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description="Count the lines of a package by kind.")
+    parser.add_argument("package", nargs="?", default="src/fiszkit", type=Path)
+    parser.add_argument("--against", type=Path, metavar="BASE_DIR",
+                        help="also print this package's table and the difference from it")
+    args = parser.parse_args(argv[1:])
+    roots = [args.package] if args.against is None else [args.against, args.package]
+    tables = [table(root) for root in roots]
+    for root, rows in zip(roots, tables):
+        if not rows:
+            print(f"no Python modules under {root}", file=sys.stderr)
+            return 1
+    if args.against is None:
+        show(tables[0])
+        return 0
+    base, head = tables
+    names = [*sorted((base.keys() | head.keys()) - {"total"}), "total"]
+    zero = dict.fromkeys(KINDS, 0)
+    for title, rows in ((f"base {args.against}:", base), (f"head {args.package}:", head)):
+        print(title)
+        show(rows)
+    print("head - base:")
+    show({name: {k: head.get(name, zero)[k] - base.get(name, zero)[k] for k in KINDS}
+          for name in names}, sign="+")
     return 0
 
 

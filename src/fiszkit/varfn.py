@@ -54,7 +54,7 @@ def triangular_kernel(v) -> np.ndarray:
 def running_mean(x, half_window: int) -> np.ndarray:
     """Periodic moving average with window ``2*half_window + 1``."""
     x = np.asarray(x, dtype=float)
-    m = int(half_window)
+    m = _as_integer("half_window", half_window)
     if m < 0:
         raise ValueError(f"half_window must be >= 0, got {half_window}")
     w = 2 * m + 1
@@ -228,13 +228,18 @@ def default_bandwidth(alpha_hat, grid_size: int = 256) -> float:
     return max(0.2 * spread * alpha_hat.size ** -0.2, spread / grid_size)
 
 
+def _as_integer(name: str, value) -> int:
+    """``value`` as an int; 1.5 and "3" are rejected, numpy integers pass."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _check_integers(cfg, *names: str) -> None:
     """Reject config fields that are not integers (1.5, "3"); numpy integers pass."""
     for name in names:
-        try:
-            operator.index(getattr(cfg, name))
-        except TypeError:
-            raise ValueError(f"{name} must be an integer, got {getattr(cfg, name)}") from None
+        _as_integer(name, getattr(cfg, name))
 
 
 @dataclass

@@ -146,15 +146,25 @@ def divisors_from_lines(lines) -> VstState:
     1 <= k <= 2^j must appear exactly once, in any order. A line that is
     not ``int int float``, names no such index or repeats one is rejected
     with its line number; a missing index as ``missing divisor (j, k)``.
+    A comment whose first word is ``basis`` must be ``# basis NAME``, and
+    every such line must name the same basis; a file without one is haar.
     """
     source = getattr(lines, "name", "divisor file")
-    basis_name, blocks, numbers = "haar", [], []
+    basis, blocks, numbers = None, [], []  # basis: the first (name, line number)
     for start, block in line_blocks(lines):
         columns, block_numbers = _divisor_columns(block), range(start, start + len(block))
         if columns is None:
-            for parts in [s.strip()[1:].split() for s in block if s.lstrip()[:1] == "#"]:
-                if len(parts) == 2 and parts[0] == "basis":
-                    basis_name = parts[1]
+            for number, line in enumerate(block, start):
+                words = line.strip()[1:].split() if line.lstrip()[:1] == "#" else []
+                if words[:1] != ["basis"]:
+                    continue
+                if len(words) != 2:
+                    raise ValueError(f"{source}:{number}: expected '# basis NAME', "
+                                     f"found {line.strip()!r}")
+                if basis and basis[0] != words[1]:
+                    raise ValueError(f"{source}:{number}: basis {words[1]} conflicts with "
+                                     f"basis {basis[0]} on line {basis[1]}")
+                basis = basis or (words[1], number)
             rows, block_numbers = data_rows(block, start)
             if not rows:
                 continue
@@ -183,4 +193,4 @@ def divisors_from_lines(lines) -> VstState:
         first = int(gaps[0]) if gaps.size else ranked.size
         raise ValueError(f"missing divisor {_position(first)}")
     divisors = np.split(values, (1 << np.arange(1, n_levels)) - 1)
-    return VstState(divisors, basis_by_name(basis_name))
+    return VstState(divisors, basis_by_name(basis[0] if basis else "haar"))

@@ -505,6 +505,18 @@ class TestVst:
         assert f"{div}:3: cannot read '0 5 9.0' as a divisor" in capsys.readouterr().err
         assert not (tmp_path / "o.txt").exists()
 
+    def test_inverse_with_two_bases_is_data_error(self, poisson_file, tmp_path, capsys):
+        div = tmp_path / "div.txt"
+        assert run_cli(["vst", "forward", "--basis", "daub8", "--in", poisson_file,
+                        "--out", tmp_path / "xt.txt", "--divisors", div]) == 0
+        div.write_text(div.read_text() + "# basis haar\n")  # this used to invert with haar
+        lines = div.read_text().count("\n")
+        assert run_cli(["vst", "inverse", "--in", tmp_path / "xt.txt", "--out", tmp_path / "o.txt",
+                        "--divisors", div]) == 3
+        assert capsys.readouterr().err == (f"fiszkit: error: {div}:{lines}: basis haar conflicts "
+                                           f"with basis daub8 on line 1\n")
+        assert not (tmp_path / "o.txt").exists()
+
 
 def test_outputs_match_golden_fixtures(tmp_path):
     # The fixtures were written by these same calls. They pin the bench

@@ -300,6 +300,16 @@ class TestRunningMean:
         with pytest.raises(ValueError, match="^half_window must be >= 0, got -1$"):
             running_mean(np.arange(4.0), -1)
 
+    @pytest.mark.parametrize("bad", [1.5, 1.0, "1"])
+    def test_half_window_must_be_an_integer(self, bad):
+        # these used to run as half-window 1, truncated by int()
+        x = np.arange(8.0)
+        with pytest.raises(ValueError, match=f"^half_window must be an integer, got {bad!r}$"):
+            running_mean(x, bad)
+        with pytest.raises(ValueError, match="^half_window must be an integer"):
+            preliminary_fit(x, bad)
+        np.testing.assert_array_equal(running_mean(x, np.int64(1)), running_mean(x, 1))
+
 
 class TestKernelSmoother:
     def test_kernel_shape(self):
@@ -903,7 +913,7 @@ class TestEstimatePipeline:
 
     @pytest.mark.parametrize("field", ["half_window", "grid_size"])
     def test_integer_fields_must_be_integers(self, field):
-        # 1.5 used to run as half-window 1 (running_mean truncates); 10.5 failed in linspace
+        # 1.5 used to run as half-window 1 (running_mean truncated); 10.5 failed in linspace
         bad = {"half_window": 1.5, "grid_size": 10.5}[field]
         with pytest.raises(ValueError, match=rf"^{field} must be an integer, got {bad}$"):
             VarFnConfig(**{field: bad})

@@ -1,3 +1,4 @@
+import re
 import warnings
 from unittest import mock
 
@@ -280,19 +281,43 @@ class TestSerialization:
         with pytest.raises(ValueError, match=r"^divisor file:6: duplicate divisor \(1, 2\)$"):
             divisors_from_lines(lines)
 
+    @pytest.mark.parametrize("header, message", [
+        (["# basis daub8 x"], "1: expected '# basis NAME', found '# basis daub8 x'"),
+        (["# basis"], "1: expected '# basis NAME', found '# basis'"),
+        (["# basis daub8", "# c", "#basis haar"],
+         "3: basis haar conflicts with basis daub8 on line 1"),
+    ])
+    def test_basis_line_is_one_name_and_never_changes(self, header, message):
+        # each of these used to invert with haar
+        with pytest.raises(ValueError, match=f"^divisor file:{re.escape(message)}$"):
+            divisors_from_lines([*header, "0 1 1.0"])
+
+    @pytest.mark.parametrize("header, name", [
+        ([], "haar"), (["# c"], "haar"), (["# the basis daub8"], "haar"),
+        (["# basis daub8", "#  basis  daub8"], "daub8"),
+    ])
+    def test_basis_line_names_the_basis(self, header, name):
+        assert divisors_from_lines([*header, "0 1 1.0"]).basis.name == name
+
 
 def divisors_oracle(lines):
     """The per-line, dict-based parser the array parser replaces, with its messages."""
     source = getattr(lines, "name", "divisor file")
-    basis_name, rows = "haar", []
+    basis, rows = None, []
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
         if line.startswith("#"):
             parts = line[1:].split()
-            if len(parts) == 2 and parts[0] == "basis":
-                basis_name = parts[1]
+            if parts[:1] == ["basis"]:
+                if len(parts) != 2:
+                    raise ValueError(f"{source}:{lineno}: expected '# basis NAME', "
+                                     f"found {line!r}")
+                if basis and basis[0] != parts[1]:
+                    raise ValueError(f"{source}:{lineno}: basis {parts[1]} conflicts with "
+                                     f"basis {basis[0]} on line {basis[1]}")
+                basis = basis or (parts[1], lineno)
             continue
         try:
             _divisor_row(line)
@@ -315,7 +340,7 @@ def divisors_oracle(lines):
             if (j, k) not in entries:
                 raise ValueError(f"missing divisor ({j}, {k})")
     divisors = [np.array([entries[(j, k + 1)] for k in range(1 << j)]) for j in range(n_levels)]
-    return VstState(divisors, basis_by_name(basis_name))
+    return VstState(divisors, basis_by_name(basis[0] if basis else "haar"))
 
 
 def read_divisor_file(read, path):
@@ -359,9 +384,10 @@ def valid_divisor_files(draw):
         text = draw(st.sampled_from([repr(value), "%.17g" % value, " %r\r\n" % value]))
         lines.append(draw(integer).format(j) + draw(space) + draw(integer).format(k)
                      + draw(space) + text)
+    basis = draw(BASES)
     for _ in range(draw(st.integers(0, 4))):
-        filler = draw(st.sampled_from(["", "  ", "# note", "# basis " + draw(BASES),
-                                       "#basis daub4 extra"]))
+        filler = draw(st.sampled_from(["", "  ", "# note", "# basis " + basis,
+                                       "#basis\t" + basis, "# the basis daub4 extra"]))
         lines.insert(draw(st.integers(0, len(lines))), filler)
     return lines
 
@@ -372,10 +398,11 @@ BAD_ROWS = ["0 5 9.0", "-1 1 3.0", "63 1 3.0", "1 2", "1 2 3.0 4", "1.0 1 2", "1
 
 @st.composite
 def faulty_divisor_files(draw):
-    """A valid file with one bad row, duplicate, missing row or field moved across rows."""
+    """A valid file with one bad row, duplicate, missing row, field moved across rows or
+    basis line that has more or fewer than one name or may name another basis."""
     lines = draw(valid_divisor_files())
     data = [i for i, s in enumerate(lines) if s.strip() and s.strip()[0] != "#"]
-    fault = draw(st.sampled_from(["bad", "duplicate", "missing", "moved"]))
+    fault = draw(st.sampled_from(["bad", "duplicate", "missing", "moved", "basis"]))
     if fault == "duplicate":
         lines.insert(draw(st.integers(0, len(lines))), lines[draw(st.sampled_from(data))])
     elif fault == "missing":
@@ -386,6 +413,9 @@ def faulty_divisor_files(draw):
         fields = lines[data[at]].split()
         lines[data[at]] = " ".join(fields[:2])
         lines[data[at + 1]] = fields[2] + " " + lines[data[at + 1]]
+    elif fault == "basis":
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(
+            ["# basis", "# basis haar x", "#basis daub8", "# basis symmlet8"])))
     else:
         lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(BAD_ROWS)))
     return lines
