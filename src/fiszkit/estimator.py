@@ -230,7 +230,7 @@ def _running_mad(values: np.ndarray, j: int) -> np.ndarray:
     if j == 0:
         return np.abs(values - values)
     if j <= 4:  # the window at p is (values[p - 1], values[p])
-        a = np.roll(values, 1, axis=-1)
+        a = np.concatenate([values[..., -1:], values[..., :-1]], axis=-1)  # np.roll costs more
         med = a + values
         med /= 2
         mad = a - med
@@ -269,8 +269,8 @@ def _mad_in_place(windows: np.ndarray) -> np.ndarray:
     """MAD along the last axis; sorts ``windows`` and overwrites it with the deviations."""
     cols = np.moveaxis(windows, -1, 0)
     windows.sort(axis=-1)
-    np.abs(np.subtract(windows, cols[len(cols) // 2].copy()[..., None], out=windows),
-           out=windows)
+    med = cols[len(cols) // 2].copy()
+    np.abs(np.subtract(windows, med[..., None], out=windows), out=windows)
     return _mad_of_deviations(cols)
 
 
