@@ -154,13 +154,13 @@ def divisors_from_lines(lines) -> VstState:
     for start, block in line_blocks(lines):
         columns, block_numbers = _divisor_columns(block), range(start, start + len(block))
         if columns is None:
-            for number, line in enumerate(block, start):
-                words = line.strip()[1:].split() if line.lstrip()[:1] == "#" else []
+            for number, line in [(i, s.strip()) for i, s in enumerate(block, start)
+                                 if s.lstrip()[:1] == "#"]:
+                words = line[1:].split()
                 if words[:1] != ["basis"]:
                     continue
                 if len(words) != 2:
-                    raise ValueError(f"{source}:{number}: expected '# basis NAME', "
-                                     f"found {line.strip()!r}")
+                    raise ValueError(f"{source}:{number}: expected '# basis NAME', found {line!r}")
                 if basis and basis[0] != words[1]:
                     raise ValueError(f"{source}:{number}: basis {words[1]} conflicts with "
                                      f"basis {basis[0]} on line {basis[1]}")

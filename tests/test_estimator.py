@@ -195,11 +195,9 @@ class TestCounts:
     @pytest.mark.parametrize("route", [estimate, baseline_mad_estimate])
     @pytest.mark.parametrize("ti", [True, False])
     def test_universal_factor_runs_once_per_call(self, route, ti, monkeypatch):
-        import fiszkit.estimator
-
         calls = []
-        monkeypatch.setattr(fiszkit.estimator, "universal_factor",
-                            lambda max_level: calls.append(max_level) or universal_factor(max_level))
+        monkeypatch.setattr("fiszkit.estimator.universal_factor",
+                            lambda level: calls.append(level) or universal_factor(level))
         x = np.random.default_rng(69).uniform(0.5, 30.0, size=256)
         route(x, EstimatorConfig(translation_invariant=ti))
         assert calls == [6]
