@@ -25,7 +25,7 @@ import numpy as np
 
 from .estimator import _RULES, EstimatorConfig, baseline_mad_estimate, estimate
 from .signals import (GAUSSIAN, NOISE_KINDS, SIGNAL_GENERATORS, NoiseModel, SeedSpec,
-                      _check_length, sample_noise, true_variance_function)
+                      _as_integer, _check_length, sample_noise, true_variance_function)
 from .textio import data_rows, first_rejected, format_blocks, level_blocks, line_blocks
 from .varfn import VarFnConfig, VarianceEstimate, estimate_variance_function
 from .vst import divisors_as_lines, divisors_from_lines, forward_vst, inverse_vst
@@ -135,8 +135,7 @@ def _simulate_config(args) -> tuple[NoiseModel, SeedSpec]:
 
 
 def _bench_config(args) -> EstimatorConfig:
-    if args.reps < 1:
-        raise ValueError(f"reps must be >= 1, got {args.reps}")
+    _as_integer("reps", args.reps, 1)  # run_bench's own check, here a usage error (exit 2)
     _check_length(args.n)
     SeedSpec(args.seed)  # rejects a master seed outside the stream keys
     cfg = _estimator_config(args)
@@ -274,6 +273,7 @@ def run_bench(reps: int, n: int, master_seed: int, cfg: EstimatorConfig) -> Benc
     and results are gathered by task order, so parallelism cannot change
     the report.
     """
+    reps = _as_integer("reps", reps, 1)
     truths = {signal: SIGNAL_GENERATORS[signal](n, lo, hi)
               for signal, (lo, hi) in BENCH_RANGES.items()}
     tasks = [(truths[signal], noise, master_seed, rep, cfg)

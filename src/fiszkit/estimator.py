@@ -29,8 +29,8 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .signals import as_signal
-from .varfn import VarFnConfig, VarianceEstimate, _check_integers, estimate_variance_function
+from .signals import _as_integer, as_signal
+from .varfn import VarFnConfig, VarianceEstimate, estimate_variance_function
 from .wavelet import (CoeffPyramid, WaveletBasis, _checked_thresholds, cycle_spin, haar,
                       shifted_local_means)
 
@@ -57,8 +57,7 @@ def universal_factor(max_level: int) -> float:
     One level gives sqrt(2 log 1) = 0. The range check against a signal's
     depth is :meth:`EstimatorConfig.resolve_max_level`'s.
     """
-    if max_level < 1:
-        raise ValueError(f"max_level must be >= 1, got {max_level}")
+    max_level = _as_integer("max_level", max_level, 1)
     return sqrt(2.0 * log((1 << max_level) - 1))
 
 
@@ -96,18 +95,14 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.rule not in _RULES:
             raise ValueError(f"rule must be one of {sorted(_RULES)}, got {self.rule!r}")
-        _check_integers(self, "shift_stride", *(() if self.max_level is None else ("max_level",)))
-        if self.shift_stride < 1:
-            raise ValueError("shift_stride must be >= 1")
-        if self.max_level is not None and self.max_level < 1:
-            raise ValueError(f"max_level must be >= 1, got {self.max_level}")
+        self.shift_stride = _as_integer("shift_stride", self.shift_stride, 1)
+        if self.max_level is not None:
+            self.max_level = _as_integer("max_level", self.max_level, 1)
 
     def resolve_max_level(self, depth: int) -> int:
         """``max_level``, or max(1, depth - 2) if None; more than ``depth`` is an error."""
         max_level = self.max_level if self.max_level is not None else max(1, depth - 2)
-        if max_level > depth:
-            raise ValueError(f"max_level must be in [1, {depth}], got {max_level}")
-        return max_level
+        return _as_integer("max_level", max_level, 1, depth)
 
 
 @dataclass

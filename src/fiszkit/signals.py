@@ -50,9 +50,23 @@ _BUMPS_H = np.array([4.0, 5.0, 3.0, 4.0, 5.0, 4.2, 2.1, 4.3, 3.1, 5.1, 4.2])
 _BUMPS_W = np.array([0.005, 0.005, 0.006, 0.01, 0.01, 0.03, 0.01, 0.01, 0.005, 0.008, 0.005])
 
 
+def _as_integer(name: str, value, low: int, high: int | None = None) -> int:
+    """``value`` as an int in [low, high] (None: no bound); numpy integers pass, 2.0 and "3" not."""
+    try:
+        value = operator.index(value)  # np.int64(r) << 64 would wrap to 0
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if high is None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    if high is not None and not low <= value <= high:
+        raise ValueError(f"{name} must be in [{low}, {high}], got {value}")
+    return value
+
+
 def _check_length(n: int) -> None:
     """The one dyadic-length rule: signals, generators and the CLI's ``--n`` share it."""
-    if n < 2 or n & (n - 1):
+    n = _as_integer("signal length", n, 2)
+    if n & (n - 1):
         raise ValueError(f"signal length must be a power of two >= 2, got {n}")
 
 
@@ -138,14 +152,7 @@ class SeedSpec:
 
     def __post_init__(self):
         for name in ("master_seed", "replication_index"):
-            v = getattr(self, name)
-            try:
-                v = operator.index(v)  # np.int64(r) << 64 would wrap to 0
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {v!r}") from None
-            if not 0 <= v <= _MASK64:
-                raise ValueError(f"{name} must be a 64-bit unsigned integer, got {v}")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, _as_integer(name, getattr(self, name), 0, _MASK64))
 
     def generator(self) -> np.random.Generator:
         key = (self.replication_index << 64) | self.master_seed

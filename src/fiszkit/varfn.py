@@ -15,14 +15,13 @@ of nonparametric curve estimators*): O(n log n) time and O(n) memory.
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
 from typing import Optional, Union
 
 import numpy as np
 
-from .signals import as_signal
+from .signals import _as_integer, as_signal
 from .textio import format_blocks
 
 __all__ = [
@@ -54,9 +53,7 @@ def triangular_kernel(v) -> np.ndarray:
 def running_mean(x, half_window: int) -> np.ndarray:
     """Periodic moving average with window ``2*half_window + 1``."""
     x = np.asarray(x, dtype=float)
-    m = _as_integer("half_window", half_window)
-    if m < 0:
-        raise ValueError(f"half_window must be >= 0, got {half_window}")
+    m = _as_integer("half_window", half_window, 0)
     w = 2 * m + 1
     if w > x.size:
         raise ValueError(f"window {w} exceeds signal length {x.size}")
@@ -228,20 +225,6 @@ def default_bandwidth(alpha_hat, grid_size: int = 256) -> float:
     return max(0.2 * spread * alpha_hat.size ** -0.2, spread / grid_size)
 
 
-def _as_integer(name: str, value) -> int:
-    """``value`` as an int; 1.5 and "3" are rejected, numpy integers pass."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
-def _check_integers(cfg, *names: str) -> None:
-    """Reject config fields that are not integers (1.5, "3"); numpy integers pass."""
-    for name in names:
-        _as_integer(name, getattr(cfg, name))
-
-
 @dataclass
 class VarFnConfig:
     """Knobs for :func:`estimate_variance_function`.
@@ -256,11 +239,8 @@ class VarFnConfig:
     grid_size: int = 256
 
     def __post_init__(self):
-        _check_integers(self, "half_window", "grid_size")
-        if self.half_window < 0:
-            raise ValueError("half_window must be >= 0")
-        if self.grid_size < 2:
-            raise ValueError("grid_size must be >= 2")
+        self.half_window = _as_integer("half_window", self.half_window, 0)
+        self.grid_size = _as_integer("grid_size", self.grid_size, 2)
         if isinstance(self.bandwidth, str):
             if self.bandwidth != "auto":
                 raise ValueError(f"bandwidth must be a number or 'auto', got {self.bandwidth!r}")

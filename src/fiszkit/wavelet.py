@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .signals import as_signal
+from .signals import _as_integer, as_signal
 
 __all__ = [
     "WaveletBasis",
@@ -339,10 +339,8 @@ def cycle_spin(x, basis: WaveletBasis, shifts: int, max_level: int,
     x = as_signal(x)
     n = x.size
     depth = n.bit_length() - 1
-    if not 1 <= shifts <= n:
-        raise ValueError(f"shift count must be in [1, {n}], got {shifts}")
-    if not 1 <= max_level <= depth:
-        raise ValueError(f"max_level must be in [1, {depth}], got {max_level}")
+    shifts = _as_integer("shift count", shifts, 1, n)
+    max_level = _as_integer("max_level", max_level, 1, depth)
     g, h = basis.filter_pair()
     rows = x[None, :] if shifts == 1 else np.stack([x, x])  # row 1: the child, built below
     shrunk = []  # per depth: shrunk detail rows, None where the level is zeroed

@@ -331,6 +331,14 @@ def test_bench_jstar_beyond_the_depth_names_the_range(tmp_path, capsys):
         "fiszkit: error: max_level must be in [1, 3], got 5"
 
 
+def test_bench_reps_below_one_is_a_usage_error(tmp_path, capsys):
+    with mock.patch("fiszkit.cli._bench_worker") as worker, pytest.raises(SystemExit) as exc:
+        run_cli(["bench", "--reps", 0, "--seed", 1, "--out", tmp_path / "out"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == "fiszkit: error: reps must be >= 1, got 0"
+    assert not worker.called and list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("flags, same_as", [
     (["--no-ti", "--stride", 1], ["--no-ti"]),
     (["--known-h", "poisson", "--M", 1, "--bandwidth", "auto", "--grid", 256],

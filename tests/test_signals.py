@@ -4,10 +4,13 @@ import re
 import numpy as np
 import pytest
 
-from fiszkit import (EXPONENTIAL, GAUSSIAN, POISSON, NoiseModel, SeedSpec,
-                     make_blocks, make_bumps, make_doppler, make_heavisine,
-                     rescale_to_range, sample_noise, true_variance_function)
+from fiszkit import (EXPONENTIAL, GAUSSIAN, POISSON, EstimatorConfig, NoiseModel, SeedSpec,
+                     VarFnConfig, hard_threshold, make_blocks, make_bumps, make_doppler,
+                     make_heavisine, rescale_to_range, running_mean, sample_noise,
+                     true_variance_function, universal_factor)
+from fiszkit.cli import run_bench
 from fiszkit.signals import as_signal
+from fiszkit.wavelet import cycle_spin, haar
 
 # Independent scalar evaluation of the published signal formulas; kept as
 # plain loops so the generators are checked against a second code path.
@@ -224,3 +227,63 @@ class TestSeedSpec:
     def test_gaussian_sigma_validated(self, sigma):
         with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
             NoiseModel(GAUSSIAN, sigma=sigma)
+
+
+def _resolved(max_level):
+    cfg = EstimatorConfig()
+    cfg.max_level = max_level  # set after __post_init__, so resolve_max_level sees it unchecked
+    return cfg.resolve_max_level(3)
+
+
+def _spin(shifts, max_level):
+    return cycle_spin(np.arange(1.0, 17.0), haar(), shifts, max_level,
+                      lambda j, rows: np.zeros_like(rows), hard_threshold)
+
+
+# site: (call of one integer, its name in messages, low, high or None, a valid value)
+INTEGER_SITES = {
+    "SeedSpec master_seed": (SeedSpec, "master_seed", 0, 2**64 - 1, 7),
+    "SeedSpec replication_index": (lambda v: SeedSpec(1, v), "replication_index",
+                                   0, 2**64 - 1, 7),
+    "make_blocks": (lambda v: make_blocks(v, 1, 2), "signal length", 2, None, 16),
+    "running_mean": (lambda v: running_mean(np.arange(8.0), v), "half_window", 0, None, 1),
+    "VarFnConfig half_window": (lambda v: VarFnConfig(half_window=v), "half_window", 0, None, 1),
+    "VarFnConfig grid_size": (lambda v: VarFnConfig(grid_size=v), "grid_size", 2, None, 16),
+    "EstimatorConfig shift_stride": (lambda v: EstimatorConfig(shift_stride=v), "shift_stride",
+                                     1, None, 2),
+    "EstimatorConfig max_level": (lambda v: EstimatorConfig(max_level=v), "max_level",
+                                  1, None, 2),
+    "universal_factor": (universal_factor, "max_level", 1, None, 2),
+    "resolve_max_level": (_resolved, "max_level", 1, 3, 2),
+    "cycle_spin shifts": (lambda v: _spin(v, 2), "shift count", 1, 16, 2),
+    "cycle_spin max_level": (lambda v: _spin(2, v), "max_level", 1, 4, 2),
+    "run_bench": (lambda v: run_bench(v, 16, 1, EstimatorConfig()), "reps", 1, None, 1),
+}
+
+
+def _integer_cases():
+    for site, (_, name, low, high, valid) in INTEGER_SITES.items():
+        for bad in (2.5, float(valid), "3"):
+            yield site, bad, f"{name} must be an integer, got {bad!r}"
+        for bad in (low - 1,) if high is None else (low - 1, high + 1):
+            yield site, bad, (f"{name} must be >= {low}, got {bad}" if high is None
+                              else f"{name} must be in [{low}, {high}], got {bad}")
+        yield site, np.int64(valid), None
+
+
+@pytest.mark.parametrize("site, value, message", list(_integer_cases()),
+                         ids=lambda v: repr(v) if not isinstance(v, str) else v)
+def test_every_integer_site_takes_the_one_rule(site, value, message):
+    """Each count, level, length and seed: an int in its range, numpy integers too, or one message.
+
+    Before the rule, ``run_bench(0, ...)`` returned an all-NaN table, a float
+    such as 2.0 raised TypeError in ``make_blocks``, ``universal_factor``,
+    ``run_bench`` and ``cycle_spin``'s shift count, and ran as ``cycle_spin``'s
+    max_level.
+    """
+    call = INTEGER_SITES[site][0]
+    if message is not None:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(value)
+    else:  # a numpy integer gives what its Python twin gives, stored as a Python int
+        assert repr(call(value)) == repr(call(int(value)))
