@@ -139,6 +139,25 @@ def _position(f: int) -> tuple[int, int]:
     return j, f + 2 - (1 << j)
 
 
+def _basis_comments(source, lines, start: int, basis):
+    """Check the ``# basis`` comments of ``lines`` (line ``start`` first) against ``basis``.
+
+    Returns the first (name, line number) so far.
+    """
+    for number, line in [(i, s.strip()) for i, s in enumerate(lines, start)
+                         if s.lstrip()[:1] == "#"]:
+        words = line[1:].split()
+        if words[:1] != ["basis"]:
+            continue
+        if len(words) != 2:
+            raise ValueError(f"{source}:{number}: expected '# basis NAME', found {line!r}")
+        if basis and basis[0] != words[1]:
+            raise ValueError(f"{source}:{number}: basis {words[1]} conflicts with "
+                             f"basis {basis[0]} on line {basis[1]}")
+        basis = basis or (words[1], number)
+    return basis
+
+
 def divisors_from_lines(lines) -> VstState:
     """Parse a divisor file: a ``# basis NAME`` header and ``j k value`` lines.
 
@@ -154,25 +173,16 @@ def divisors_from_lines(lines) -> VstState:
     for start, block in line_blocks(lines):
         columns, block_numbers = _divisor_columns(block), range(start, start + len(block))
         if columns is None:
-            for number, line in [(i, s.strip()) for i, s in enumerate(block, start)
-                                 if s.lstrip()[:1] == "#"]:
-                words = line[1:].split()
-                if words[:1] != ["basis"]:
-                    continue
-                if len(words) != 2:
-                    raise ValueError(f"{source}:{number}: expected '# basis NAME', found {line!r}")
-                if basis and basis[0] != words[1]:
-                    raise ValueError(f"{source}:{number}: basis {words[1]} conflicts with "
-                                     f"basis {basis[0]} on line {basis[1]}")
-                basis = basis or (words[1], number)
             rows, block_numbers = data_rows(block, start)
-            if not rows:
-                continue
             columns = _divisor_columns(rows)
-            if columns is None:
+            if columns is None and rows:  # a fault above the first bad row is reported first
                 row, exc = first_rejected(rows, _divisor_row)
+                _basis_comments(source, block[:block_numbers[row] - start], start, basis)
                 raise ValueError(f"{source}:{block_numbers[row]}: cannot read {rows[row]!r} "
                                  f"as a divisor: {exc}")
+            basis = _basis_comments(source, block, start, basis)
+            if not rows:
+                continue
         blocks.append(columns)
         numbers.append(block_numbers)
     if not blocks:

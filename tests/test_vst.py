@@ -292,6 +292,17 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"^divisor file:{re.escape(message)}$"):
             divisors_from_lines([*header, "0 1 1.0"])
 
+    @pytest.mark.parametrize("lines, message", [
+        (["# basis haar", "0 x 1.0", "# basis daub8"],
+         "2: cannot read '0 x 1.0' as a divisor: invalid literal for int() with base 10: 'x'"),
+        (["# basis haar", "# basis daub8", "0 x 1.0"],
+         "2: basis daub8 conflicts with basis haar on line 1"),
+    ])
+    def test_first_faulty_line_of_a_block_is_reported(self, lines, message):
+        # the unreadable row used to lose to the later basis conflict in the same block
+        with pytest.raises(ValueError, match=f"^divisor file:{re.escape(message)}$"):
+            divisors_from_lines(lines)
+
     @pytest.mark.parametrize("header, name", [
         ([], "haar"), (["# c"], "haar"), (["# the basis daub8"], "haar"),
         (["# basis daub8", "#  basis  daub8"], "daub8"),
