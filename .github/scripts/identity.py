@@ -18,12 +18,18 @@ Poisson blocks and exponential bumps:
   ``--no-ti``: ``estimate`` values, thresholds and survivors with the fitted
   and the known law, hard and soft, and ``baseline_mad_estimate``;
 - for each basis: ``forward_vst`` output and divisors, and ``inverse_vst``
-  of that output.
+  of that output;
+- the bytes of every file the CLI writes, run through ``cli.main`` in a
+  temporary directory of each tree on the series ``write_series`` wrote:
+  ``estimate`` plain, with ``--emit-plots``, with ``--baseline`` and with
+  ``--known-h`` set to the input's law; ``varfn``; ``vst forward`` and
+  ``vst inverse``. Each file is a ``uint8`` array named by its command line.
 
-A case that raises ValueError is compared by its message. Every array that
-differs is printed with its largest relative difference, entry by entry, and
-its largest absolute difference over its largest finite |value|, which stays
-at rounding level where an entry near zero makes the first figure large.
+A case that raises ValueError, or a CLI run that exits non-zero, is compared
+by its message. Every array that differs is printed with its largest relative
+difference, entry by entry, and its largest absolute difference over its
+largest finite |value|, which stays at rounding level where an entry near
+zero makes the first figure large.
 Their count follows; the exit code is 1 if any differ, 0 with no difference,
 and 2 on a usage or set-up error. A change that moves outputs on purpose
 quotes that list.
@@ -32,6 +38,8 @@ quotes that list.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import importlib
 import io
 import json
 import subprocess
@@ -86,6 +94,7 @@ def cases(fz, n: int):
                 except ValueError as exc:
                     yield name, exc
             yield from _vst(fz, x, fits.get(1), basis, f"{tag} {basis_name} vst")
+        yield from _cli(fz, x, noise, f"{tag} cli")
 
 
 def _estimate(fz, x, cfg, name):
@@ -115,6 +124,42 @@ def _vst(fz, x, fit, basis, name):
         yield f"{name} inverse", fz.inverse_vst(xt, state)
     except ValueError as exc:
         yield f"{name} inverse", exc
+
+
+def _cli(fz, x, law: str, name):
+    """Run each CLI command on ``x`` written to a file; yield the bytes of every file it writes.
+
+    Each command writes into its own numbered directory; ``vst inverse``
+    reads what ``vst forward`` wrote. Paths are named relative to the
+    temporary directory, so both trees give the same names.
+    """
+    cli = importlib.import_module(fz.__name__ + ".cli")
+    commands = [["estimate", "--in", "x.txt", "--out", "0/out.txt"],
+                ["estimate", "--in", "x.txt", "--out", "1/out.txt", "--emit-plots"],
+                ["estimate", "--in", "x.txt", "--out", "2/out.txt", "--baseline"],
+                ["estimate", "--in", "x.txt", "--out", "3/out.txt", "--known-h", law],
+                ["varfn", "--in", "x.txt", "--out", "4/out.txt"],
+                ["vst", "forward", "--in", "x.txt", "--out", "5/out.txt",
+                 "--divisors", "5/div.txt"],
+                ["vst", "inverse", "--in", "5/out.txt", "--out", "6/out.txt",
+                 "--divisors", "5/div.txt"]]
+    with tempfile.TemporaryDirectory(prefix="identity-cli-") as tmp:
+        tmp = Path(tmp)
+        cli.write_series(tmp / "x.txt", x)
+        for i, argv in enumerate(commands):
+            (tmp / str(i)).mkdir()
+            label = f"{name} {' '.join(argv)}"
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                try:
+                    code = cli.main([str(tmp / a) if a.endswith(".txt") else a for a in argv])
+                except SystemExit as exc:
+                    code = exc.code
+            if code:
+                yield label, ValueError(f"exit {code}: {stderr.getvalue().replace(str(tmp), '')}")
+                continue
+            for path in sorted((tmp / str(i)).iterdir()):
+                yield f"{label}: {i}/{path.name}", np.frombuffer(path.read_bytes(), np.uint8)
 
 
 def emit(tree: Path, sizes: list[int]) -> int:

@@ -55,3 +55,26 @@ def test_difference_gives_the_largest_difference_over_the_largest_value():
         "largest relative difference inf, largest difference inf of the largest finite |value|")
     assert difference(np.array([0.0, np.nan]), np.array([-0.0, np.nan])) == (
         "same values, different bits (signed zeros or NaN payloads)")
+
+
+def test_identity_lists_the_cli_files_of_a_tree_that_writes_fewer_digits(tmp_path, capsys):
+    identity = load_identity()
+    tree = tmp_path / "digits16"
+    shutil.copytree(ROOT / "src" / "fiszkit", tree / "src" / "fiszkit",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    textio = tree / "src" / "fiszkit" / "textio.py"
+    text = textio.read_text()
+    line = 'yield (fmt + "\\n") * len(values[0]) % tuple(flat)'
+    assert text.count(line) == 1
+    textio.write_text(text.replace(line, line.replace("fmt +", 'fmt.replace("%.17g", "%.16g") +')))
+
+    assert identity.main(["--against", str(tree), "--max-n", "16"]) == 1
+    out = capsys.readouterr().out
+    differs = re.findall(r"^DIFFERS: (n=\d+ \S+ (\S+) (.*)): ", out, re.M)
+    assert differs and {d[1] for d in differs} == {"cli"}  # no library array moves
+    names = {d[2].split(": ")[-1] for d in differs}
+    assert {"0/out.txt", "1/out_thresholds.txt", "1/out_varfn.txt", "1/out_plot_estimate.txt",
+            "2/out.txt", "3/out.txt", "4/out.txt", "5/out.txt", "5/div.txt",
+            "6/out.txt"} <= names
+    assert "n=8 blocks-poisson cli estimate --in x.txt --out 0/out.txt: 0/out.txt" in \
+        [d[0] for d in differs]
