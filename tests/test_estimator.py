@@ -12,9 +12,10 @@ from hypothesis.extra.numpy import arrays
 
 from fiszkit import (EstimatorConfig, NoiseModel, SeedSpec, VarianceEstimate,
                      apply_threshold, baseline_mad_estimate, dwt_forward, dwt_inverse,
-                     estimate, estimate_variance_function, haar, hard_threshold,
-                     local_means, make_blocks, make_bumps, sample_noise, soft_threshold,
-                     thresholds_data_driven, thresholds_known_h, universal_factor)
+                     estimate, estimate_variance_function, forward_vst, haar, hard_threshold,
+                     inverse_vst, local_means, make_blocks, make_bumps, sample_noise,
+                     soft_threshold, thresholds_data_driven, thresholds_known_h,
+                     universal_factor)
 from fiszkit.estimator import MAD_TO_SIGMA, _merge_exchange, _running_mad, coefficient_sd
 from fiszkit.wavelet import (BASIS_NAMES, _analysis_step, _checked_thresholds, _synthesis_rows,
                              basis_by_name, cycle_spin, shifted_local_means)
@@ -586,6 +587,35 @@ class TestEstimate:
             finally:
                 tracemalloc.stop()
             assert peak <= 4 * 8 * n * 12, basis.name  # four arrays of n doubles per level
+
+    @pytest.mark.parametrize("route, bound", [
+        ("estimate haar", 26.29), ("estimate daub8", 29.79), ("estimate --no-ti", 9.53),
+        ("forward_vst haar", 7.01), ("forward_vst daub8", 7.52),
+        ("inverse_vst haar", 5.01), ("inverse_vst daub8", 5.52),
+        ("baseline_mad_estimate stride 16", 19.95)])
+    def test_peak_memory_is_pinned(self, route, bound):
+        # tracemalloc peaks at n = 2^16 in arrays of n doubles, measured with
+        # numpy 2.4.6, plus 0.5: a new copy of a table level or of the signal fails
+        n = 1 << 16
+        x = sample_noise(make_bumps(n, 3.0, 23.21), NoiseModel("exponential"), SeedSpec(44, 1))
+        name, _, arg = route.partition(" ")
+        basis = basis_by_name(arg if arg in BASIS_NAMES else "haar")
+        if name.endswith("_vst"):
+            fit = estimate_variance_function(x, EstimatorConfig().varfn)
+            xt, state = forward_vst(x, fit, basis)
+        calls = {"estimate": lambda: estimate(x, EstimatorConfig(
+                     basis=basis, translation_invariant=arg != "--no-ti")),
+                 "forward_vst": lambda: forward_vst(x, fit, basis),
+                 "inverse_vst": lambda: inverse_vst(xt, state),
+                 "baseline_mad_estimate": lambda: baseline_mad_estimate(
+                     x, EstimatorConfig(shift_stride=16))}
+        tracemalloc.start()
+        try:
+            calls[name]()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * 8 * n, peak / (8 * n)
 
     def test_cycle_spin_validation(self):
         x = np.arange(1.0, 9.0)
