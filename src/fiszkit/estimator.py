@@ -31,7 +31,7 @@ import numpy as np
 
 from .signals import _as_integer, as_signal
 from .varfn import VarFnConfig, VarianceEstimate, estimate_variance_function
-from .wavelet import (CoeffPyramid, WaveletBasis, _checked_thresholds, cycle_spin, haar,
+from .wavelet import (_COEFF_OVERFLOW, CoeffPyramid, WaveletBasis, cycle_spin, haar,
                       shifted_local_means)
 
 __all__ = [
@@ -146,6 +146,21 @@ def thresholds_data_driven(lm: list[np.ndarray], hhat: VarianceEstimate,
     return thresholds_known_h(lm, hhat.query, max_level)
 
 
+def _checked_thresholds(j: int, lam, detail: np.ndarray) -> np.ndarray:
+    """``lam`` as floats, one threshold >= 0 per coefficient of the level-``j`` ``detail``.
+
+    A negative or NaN threshold of non-finite details is reported as their overflow.
+    """
+    lam = np.asarray(lam, dtype=float)
+    if lam.shape != detail.shape:
+        raise ValueError(f"threshold level {j} has shape {lam.shape}, expected {detail.shape}")
+    if not np.minimum.reduce(lam, axis=None) >= 0:  # NaN compares false; a level is never empty
+        if not np.all(np.isfinite(detail)):
+            raise ValueError(_COEFF_OVERFLOW)
+        raise ValueError(f"negative or NaN threshold at level {j}")
+    return lam
+
+
 def apply_threshold(p: CoeffPyramid, thresholds: list[np.ndarray], rule: str,
                     max_level: int) -> CoeffPyramid:
     """Threshold levels below ``max_level``, zero the rest, keep the smooth."""
@@ -162,7 +177,8 @@ def apply_threshold(p: CoeffPyramid, thresholds: list[np.ndarray], rule: str,
 def _denoise(x: np.ndarray, cfg: EstimatorConfig, level_sds: Callable):
     """Shift-averaged thresholding at ``level_sds(j, rows)`` times sqrt(2 log N).
 
-    ``level_sds`` returns a new array of the level-j sds, which is scaled in place.
+    ``level_sds`` returns a new array of the level-j sds. The level rule scales it in place,
+    checks it, shrinks the rows by ``cfg.rule`` and records row 0, the unshifted pass.
 
     Returns the estimate, the thresholds and survivor masks of the unshifted
     pass, and the number of shifts averaged.
@@ -174,15 +190,19 @@ def _denoise(x: np.ndarray, cfg: EstimatorConfig, level_sds: Callable):
     # shifts would leave those levels aligned identically in every pass.
     shifts = max(1, n // cfg.shift_stride) if cfg.translation_invariant else 1
     factor = universal_factor(max_level)
+    thr, surv = [], []  # finest level first
 
-    def threshold_fn(j, rows):
+    def level_fn(j, rows):
         lam = level_sds(j, rows)
         lam *= factor
-        return lam
+        lam = _checked_thresholds(j, lam, rows)
+        rows = _RULES[cfg.rule](rows, lam)
+        thr.append(lam[0].copy())
+        surv.append(rows[0] != 0)
+        return rows
 
-    values, thr, shrunk = cycle_spin(x, cfg.basis, shifts, max_level, threshold_fn,
-                                     _RULES[cfg.rule])
-    return values, thr, [d != 0 for d in shrunk], shifts
+    values = cycle_spin(x, cfg.basis, shifts, max_level, level_fn)
+    return values, thr[::-1], surv[::-1], shifts
 
 
 def estimate(x, cfg: EstimatorConfig | None = None) -> EstimateResult:

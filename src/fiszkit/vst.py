@@ -4,9 +4,9 @@ The forward transform divides every detail coefficient by the estimated
 standard deviation of that coefficient (square root of the fitted
 variance map at the coefficient's local data mean), leaving the smooth
 coefficient alone: one unshifted :func:`fiszkit.wavelet.cycle_spin` pass
-that divides where the denoiser shrinks. Each level gathers its divisors
-from the floored sds of the fitted steps, ``VarianceEstimate.sd``, the ones
-the fitted thresholds scale. Multiplying back by the recorded divisors
+whose level rule divides where the denoiser's shrinks. Each level gathers
+its divisors from the floored sds of the fitted steps, ``VarianceEstimate.sd``,
+the ones the fitted thresholds scale. Multiplying back by the recorded divisors
 inverts it exactly, and composing it with universal-threshold shrinkage
 reproduces the mean-linked denoiser coefficient for coefficient.
 """
@@ -47,21 +47,23 @@ class VstState:
 
 def forward_vst(x, hhat: VarianceEstimate,
                 basis: WaveletBasis | None = None) -> tuple[np.ndarray, VstState]:
-    """Divide every detail coefficient by its estimated standard deviation."""
+    """Divide every detail coefficient by its estimated sd, checked once per level."""
     x = as_signal(x)
     basis = basis or haar()
     means = shifted_local_means(x, basis)
+    divs = []  # finest level first
 
-    def divisors(j, _rows):
+    def divide(j, rows):
         d = hhat.sd[hhat.step_index(means(j, 1))]  # one gather, as the fitted thresholds
         if not d.max() < np.inf:  # max propagates NaN
             raise ValueError(f"variance map returned negative or non-finite values at level {j}")
-        if not d.min() > 0:  # checked before the division, which would warn
+        if not d.min() > 0:
             raise ValueError(f"divisors must be strictly positive (level {j})")
-        return d
+        divs.append(d[0])
+        return rows / d
 
-    xt, divs, _ = cycle_spin(x, basis, 1, x.size.bit_length() - 1, divisors, np.divide)
-    return xt, VstState(divs, basis)
+    xt = cycle_spin(x, basis, 1, x.size.bit_length() - 1, divide)
+    return xt, VstState(divs[::-1], basis)
 
 
 def inverse_vst(y, state: VstState) -> np.ndarray:
@@ -71,7 +73,7 @@ def inverse_vst(y, state: VstState) -> np.ndarray:
         raise ValueError(f"length {y.size} does not match recorded divisors "
                          f"({1 << len(state.divisors)})")
     return cycle_spin(y, state.basis, 1, len(state.divisors),
-                      lambda j, _rows: state.divisors[j][None], np.multiply)[0]
+                      lambda j, rows: rows * state.divisors[j])
 
 
 def denoise_via_vst(x, cfg: EstimatorConfig | None = None) -> np.ndarray:

@@ -17,9 +17,10 @@ average of the data over the support of its wavelet vector, which starts
 at the coefficient's first sample, (k - 1) 2^(J-j). For Haar the means are
 rescaled scaling coefficients.
 
-:func:`cycle_spin` is the one shift-averaging engine: it thresholds every
-circular shift of a signal and averages the results through a
-translation-invariant table of O(n log n) size.
+:func:`cycle_spin` is the one shift-averaging engine: it applies a caller's
+level rule to the detail rows of every circular shift of a signal and
+averages the results through a translation-invariant table of O(n log n)
+size.
 """
 
 from __future__ import annotations
@@ -267,21 +268,6 @@ def local_means(x, basis: WaveletBasis | None = None) -> list[np.ndarray]:
 _COEFF_OVERFLOW = "wavelet coefficients overflow at this data scale"
 
 
-def _checked_thresholds(j: int, lam, detail: np.ndarray) -> np.ndarray:
-    """``lam`` as floats, one threshold >= 0 per coefficient of the level-``j`` ``detail``.
-
-    A negative or NaN threshold of non-finite details is reported as their overflow.
-    """
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != detail.shape:
-        raise ValueError(f"threshold level {j} has shape {lam.shape}, expected {detail.shape}")
-    if not np.minimum.reduce(lam, axis=None) >= 0:  # NaN compares false; a level is never empty
-        if not np.all(np.isfinite(detail)):
-            raise ValueError(_COEFF_OVERFLOW)
-        raise ValueError(f"negative or NaN threshold at level {j}")
-    return lam
-
-
 def _rotate_into_children(rows: np.ndarray, parents: int) -> None:
     """Fill the rows from ``parents`` on with their parents rotated by one sample."""
     odd, width = rows.shape[0] - parents, rows.shape[1]
@@ -306,17 +292,16 @@ def _weigh(y: np.ndarray, q: int, m: int, stop: int, op) -> None:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is reported as one ValueError
-def cycle_spin(x, basis: WaveletBasis, shifts: int, max_level: int,
-               threshold_fn, shrink) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """Threshold every circular shift s < ``shifts`` of ``x`` and average the results.
+def cycle_spin(x, basis: WaveletBasis, shifts: int, max_level: int, level_fn) -> np.ndarray:
+    """Apply ``level_fn`` to every circular shift s < ``shifts`` of ``x`` and average the results.
 
     The result equals the mean over s of ``np.roll(y_s, -s)``, where ``y_s``
-    is ``np.roll(x, s)`` analysed, with each level j < ``max_level`` shrunk
-    by ``shrink(detail, threshold)``, the finer levels zeroed and the smooth
-    kept, then synthesised. ``threshold_fn(j, rows)`` receives the level-j
-    detail rows, row s holding shift s, and returns their thresholds, one
-    per coefficient. ``shrink`` may be any elementwise map of the two: one
-    pass with ``shifts=1`` and ``np.divide`` is the VST.
+    is ``np.roll(x, s)`` analysed, with the details of each level
+    j < ``max_level`` replaced by the rule's, the finer levels zeroed and the
+    smooth kept, then synthesised. ``level_fn(j, rows)`` receives the level-j
+    detail rows, row s holding shift s, and returns the rows that replace
+    them, of the same shape. The engine knows no thresholds: the denoiser's
+    rule shrinks, and one pass with ``shifts=1`` that divides is the VST.
 
     Shifts congruent modulo 2^d share their depth-d coefficients up to a
     rotation, so the transform is a table (Coifman & Donoho 1995): depth d
@@ -332,9 +317,8 @@ def cycle_spin(x, basis: WaveletBasis, shifts: int, max_level: int,
     Each depth holds at most n values: O(n log n) time and memory for any
     ``shifts``.
 
-    Returns the averaged signal and, for the unshifted pass, the thresholds
-    and shrunk details of levels 0 .. max_level-1. Coefficients or averaged
-    values that overflow raise one ValueError, with no numpy warning.
+    Returns the averaged signal. Averaged values that overflow raise one
+    ValueError; the rule runs with numpy's overflow and invalid warnings off.
     """
     x = as_signal(x)
     n = x.size
@@ -343,8 +327,7 @@ def cycle_spin(x, basis: WaveletBasis, shifts: int, max_level: int,
     max_level = _as_integer("max_level", max_level, 1, depth)
     g, h = basis.filter_pair()
     rows = x[None, :] if shifts == 1 else np.stack([x, x])  # row 1: the child, built below
-    shrunk = []  # per depth: shrunk detail rows, None where the level is zeroed
-    first_thr = []
+    kept = []  # per depth: the rule's detail rows, None where the level is zeroed
     for d in range(depth):
         j = depth - 1 - d
         parents = min(shifts, 1 << d)
@@ -352,18 +335,12 @@ def cycle_spin(x, basis: WaveletBasis, shifts: int, max_level: int,
             _rotate_into_children(rows, parents)
         # depth d + 1's table; the analysis writes its parents, these rows' approximations
         table = np.empty((min(shifts, 4 << d), rows.shape[1] // 2))
-        thresholded = j < max_level
-        step = _analysis_step(rows, g, h if thresholded else None, out=table[:rows.shape[0]])
-        rows = table  # the analysed rows are freed before the thresholds are built
-        if not thresholded:
-            shrunk.append(None)
-            continue
-        detail = step[1]
-        lam = _checked_thresholds(j, threshold_fn(j, detail), detail)
-        shrunk.append(shrink(detail, lam))
-        first_thr.append(lam[0].copy())
+        ruled = j < max_level
+        step = _analysis_step(rows, g, h if ruled else None, out=table[:rows.shape[0]])
+        rows = table  # the analysed rows are freed before the rule runs
+        kept.append(level_fn(j, step[1]) if ruled else None)
     for d in reversed(range(depth)):
-        y = _synthesis_rows(rows, 0.0 if shrunk[d] is None else shrunk[d], g, h)
+        y = _synthesis_rows(rows, 0.0 if kept[d] is None else kept[d], g, h)
         parents = min(shifts, 1 << d)
         odd = y.shape[0] - parents
         q, m = divmod(shifts, 2 << d)
@@ -382,5 +359,4 @@ def cycle_spin(x, basis: WaveletBasis, shifts: int, max_level: int,
         rows = y[:parents]
     if not np.all(np.isfinite(rows[0])):
         raise ValueError(_COEFF_OVERFLOW)
-    first_shrunk = [rows_d[0] for rows_d in reversed(shrunk) if rows_d is not None]
-    return rows[0], first_thr[::-1], first_shrunk
+    return rows[0]

@@ -16,9 +16,10 @@ from fiszkit import (EstimatorConfig, NoiseModel, SeedSpec, VarianceEstimate,
                      inverse_vst, local_means, make_blocks, make_bumps, sample_noise,
                      soft_threshold, thresholds_data_driven, thresholds_known_h,
                      universal_factor)
-from fiszkit.estimator import MAD_TO_SIGMA, _merge_exchange, _running_mad, coefficient_sd
-from fiszkit.wavelet import (BASIS_NAMES, _analysis_step, _checked_thresholds, _synthesis_rows,
-                             basis_by_name, cycle_spin, shifted_local_means)
+from fiszkit.estimator import (MAD_TO_SIGMA, _checked_thresholds, _denoise, _merge_exchange,
+                               _running_mad, coefficient_sd)
+from fiszkit.wavelet import (BASIS_NAMES, _analysis_step, _synthesis_rows, basis_by_name,
+                             cycle_spin, shifted_local_means)
 
 H_POISSON = lambda u: np.asarray(u, dtype=float)
 H_SQUARE = lambda u: np.asarray(u, dtype=float) ** 2
@@ -103,7 +104,7 @@ def denoise_shifts(x, cfg, threshold_fn):
     return acc / len(shifts), first_thr, first_surv, len(shifts)
 
 
-def cycle_spin_arange_weights(x, basis, shifts, max_level, threshold_fn, shrink):
+def cycle_spin_arange_weights(x, basis, shifts, max_level, level_fn):
     """Oracle for the engine's table, rows rotated by ``np.roll``.
 
     Synthesis weights every row by its own class count,
@@ -114,21 +115,16 @@ def cycle_spin_arange_weights(x, basis, shifts, max_level, threshold_fn, shrink)
     depth = n.bit_length() - 1
     g, h = basis.filter_pair()
     rows = x[None, :]
-    shrunk, first_thr = [], []
+    kept = []
     for d in range(depth):
         j = depth - 1 - d
         odd = min(shifts, 2 << d) - rows.shape[0]
         if odd > 0:
             rows = np.concatenate([rows, np.roll(rows[:odd], 1, axis=1)])
         rows, detail = _analysis_step(rows, g, h)
-        if j >= max_level:
-            shrunk.append(None)
-            continue
-        lam = threshold_fn(j, detail)
-        shrunk.append(shrink(detail, lam))
-        first_thr.append(lam[0].copy())
+        kept.append(level_fn(j, detail) if j < max_level else None)
     for d in reversed(range(depth)):
-        detail = shrunk[d] if shrunk[d] is not None else np.zeros_like(rows)
+        detail = kept[d] if kept[d] is not None else np.zeros_like(rows)
         y = _synthesis_rows(rows, detail, g, h)
         parents = min(shifts, 1 << d)
         odd = y.shape[0] - parents
@@ -139,8 +135,7 @@ def cycle_spin_arange_weights(x, basis, shifts, max_level, threshold_fn, shrink)
             rows = y[:parents] / ((shifts - 1 - r[:parents]) // (1 << d) + 1)[:, None]
         else:
             rows = y
-    first_shrunk = [rows_d[0] for rows_d in reversed(shrunk) if rows_d is not None]
-    return rows[0], first_thr[::-1], first_shrunk
+    return rows[0]
 
 
 def mode_threshold_fn(x, basis, max_level, mode):
@@ -160,12 +155,35 @@ def mode_threshold_fn(x, basis, max_level, mode):
     return lambda j, rows: coefficient_sd(means(j, len(rows)), h, j) * factor
 
 
+def recorded_rule(threshold_fn, shrink):
+    """The level rule that shrinks the rows at ``threshold_fn``'s thresholds, and the list
+    it records each level's unshifted thresholds and shrunk details in, finest first."""
+    record = []
+
+    def level_fn(j, rows):
+        lam = threshold_fn(j, rows)
+        rows = shrink(rows, lam)
+        record.append((lam[0].copy(), rows[0]))
+        return rows
+    return level_fn, record
+
+
 def assert_same_bytes(got, want):
-    values, thr, shrunk = got
-    assert values.tobytes() == want[0].tobytes()
-    assert len(thr) == len(want[1]) and len(shrunk) == len(want[2])
-    for a, b in zip(thr + shrunk, want[1] + want[2]):
-        assert a.tobytes() == b.tobytes()
+    """Two (average, record) pairs hold the same bytes."""
+    assert got[0].tobytes() == want[0].tobytes()
+    assert len(got[1]) == len(want[1])
+    for a, b in zip(got[1], want[1]):
+        assert [v.tobytes() for v in a] == [v.tobytes() for v in b]
+
+
+def assert_engine_matches_oracle(x, basis, shifts, max_level, threshold_fn, shrink):
+    """``cycle_spin`` and ``cycle_spin_arange_weights`` give the same average, thresholds
+    and shrunk details, bit for bit."""
+    runs = []
+    for engine in (cycle_spin, cycle_spin_arange_weights):
+        level_fn, record = recorded_rule(threshold_fn, shrink)
+        runs.append((engine(x, basis, shifts, max_level, level_fn), record))
+    assert_same_bytes(*runs)
 
 
 def scalar_rule(y, lam, rule):
@@ -189,7 +207,7 @@ class TestCounts:
         with pytest.raises(ValueError, match=f"^{message}$"):
             EstimatorConfig(max_level=5).resolve_max_level(3)
         with pytest.raises(ValueError, match=f"^{message}$"):
-            cycle_spin(np.ones(8), haar(), 1, 5, None, hard_threshold)
+            cycle_spin(np.ones(8), haar(), 1, 5, None)
         assert EstimatorConfig(max_level=3).resolve_max_level(3) == 3
         assert [EstimatorConfig().resolve_max_level(d) for d in (1, 3, 12)] == [1, 1, 10]
 
@@ -503,9 +521,7 @@ class TestEstimate:
         x = sample_noise(make_blocks(2048, 1.0, 22.6), NoiseModel("poisson"), SeedSpec(66, 1))
         for mode in ("known", "fitted", "mad"):
             threshold_fn = mode_threshold_fn(x, basis, 9, mode)
-            assert_same_bytes(cycle_spin(x, basis, shifts, 9, threshold_fn, hard_threshold),
-                              cycle_spin_arange_weights(x, basis, shifts, 9, threshold_fn,
-                                                        hard_threshold))
+            assert_engine_matches_oracle(x, basis, shifts, 9, threshold_fn, hard_threshold)
 
     @given(st.integers(1, 10).flatmap(lambda depth: st.tuples(
                st.just(depth), st.integers(1, 1 << depth), st.integers(1, depth))),
@@ -517,9 +533,7 @@ class TestEstimate:
         x = np.random.default_rng(seed).uniform(0.5, 30.0, size=1 << depth)
         threshold_fn = mode_threshold_fn(x, basis, max_level, mode)
         shrink = soft_threshold if rule == "soft" else hard_threshold
-        assert_same_bytes(cycle_spin(x, basis, shifts, max_level, threshold_fn, shrink),
-                          cycle_spin_arange_weights(x, basis, shifts, max_level, threshold_fn,
-                                                    shrink))
+        assert_engine_matches_oracle(x, basis, shifts, max_level, threshold_fn, shrink)
 
     @given(st.integers(2, 9).flatmap(lambda depth: st.tuples(
                st.just(depth), st.one_of(st.just(1), st.integers(1, 1 << depth)),
@@ -542,9 +556,7 @@ class TestEstimate:
         x[some] = rng.uniform(0.5, 30.0, size=np.count_nonzero(some))
         threshold_fn = mode_threshold_fn(x, basis, max_level, mode)
         shrink = soft_threshold if rule == "soft" else hard_threshold
-        assert_same_bytes(cycle_spin(x, basis, shifts, max_level, threshold_fn, shrink),
-                          cycle_spin_arange_weights(x, basis, shifts, max_level, threshold_fn,
-                                                    shrink))
+        assert_engine_matches_oracle(x, basis, shifts, max_level, threshold_fn, shrink)
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(2, 10), st.integers(0, 2**32 - 1), st.sampled_from(ALL_BASES),
@@ -568,11 +580,11 @@ class TestEstimate:
         shrink = soft_threshold if rule == "soft" else hard_threshold
         res = estimate(x, cfg)
         for route in [mode] + ["searchsorted"] * (mode == "fitted"):
-            values, thr, shrunk = cycle_spin(x, basis, len(shift_list(n, cfg)), max_level,
-                                             mode_threshold_fn(x, basis, max_level, route),
+            level_fn, record = recorded_rule(mode_threshold_fn(x, basis, max_level, route),
                                              shrink)
-            assert_same_bytes((res.values, res.thresholds, res.survivors),
-                              (values, thr, [d != 0 for d in shrunk]))
+            values = cycle_spin(x, basis, len(shift_list(n, cfg)), max_level, level_fn)
+            assert_same_bytes((res.values, list(zip(res.thresholds, res.survivors))),
+                              (values, [(t, d != 0) for t, d in record[::-1]]))
 
     def test_cycle_spin_memory_is_n_log_n(self):
         # every shift of n = 4096: a shift-count x n stack would be 128 MiB;
@@ -582,7 +594,8 @@ class TestEstimate:
         for basis in (haar(), basis_by_name("daub8")):
             tracemalloc.start()
             try:
-                cycle_spin(x, basis, n, 10, lambda j, rows: np.ones_like(rows), hard_threshold)
+                cycle_spin(x, basis, n, 10,
+                           lambda j, rows: hard_threshold(rows, np.ones_like(rows)))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -622,12 +635,13 @@ class TestEstimate:
         ones = lambda j, rows: np.ones_like(rows)
         for shifts, max_level in ((0, 1), (9, 1), (8, 0), (8, 4)):
             with pytest.raises(ValueError):
-                cycle_spin(x, haar(), shifts, max_level, ones, hard_threshold)
+                cycle_spin(x, haar(), shifts, max_level, ones)
+        # the thresholds are checked by the denoiser's level rule, at 8 shifts and 2 levels
+        cfg = EstimatorConfig(max_level=2)
         with pytest.raises(ValueError, match="shape"):
-            cycle_spin(x, haar(), 8, 2, lambda j, rows: np.ones(1 << j), hard_threshold)
+            _denoise(x, cfg, lambda j, rows: np.ones(1 << j))
         with pytest.raises(ValueError, match="NaN"):
-            cycle_spin(x, haar(), 8, 2, lambda j, rows: np.full_like(rows, np.nan),
-                       hard_threshold)
+            _denoise(x, cfg, lambda j, rows: np.full_like(rows, np.nan))
 
     @pytest.mark.parametrize("x, lam_of, message", [
         (np.arange(1.0, 9.0), lambda d: np.ones(3),
@@ -641,8 +655,11 @@ class TestEstimate:
          lambda d: np.where(np.isfinite(d), 1.0, np.nan), "wavelet coefficients overflow"),
     ], ids=["shape", "negative", "nan", "non-finite details"])
     def test_engine_and_pyramid_share_the_threshold_check(self, x, lam_of, message):
+        # the denoiser's level rule over one pass; level 1 takes unit sds, as the factor
+        # sqrt(2 log 1) = 0 of one level would turn a negative threshold into -0.0
+        cfg = EstimatorConfig(max_level=2, translation_invariant=False)
         with pytest.raises(ValueError, match=message):
-            cycle_spin(x, haar(), 1, 1, lambda j, rows: lam_of(rows), hard_threshold)
+            _denoise(x, cfg, lambda j, rows: lam_of(rows) if j == 0 else np.ones(rows.shape))
         with np.errstate(over="ignore", invalid="ignore"):  # the check reports the overflow
             p = dwt_forward(x)
         with pytest.raises(ValueError, match=message):
@@ -716,8 +733,8 @@ class TestEstimate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="wavelet coefficients overflow"):
-                cycle_spin(x, haar(), 16, 4, lambda j, rows: np.zeros(rows.shape),
-                           hard_threshold)
+                cycle_spin(x, haar(), 16, 4,
+                           lambda j, rows: hard_threshold(rows, np.zeros(rows.shape)))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

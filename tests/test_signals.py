@@ -237,7 +237,7 @@ def _resolved(max_level):
 
 def _spin(shifts, max_level):
     return cycle_spin(np.arange(1.0, 17.0), haar(), shifts, max_level,
-                      lambda j, rows: np.zeros_like(rows), hard_threshold)
+                      lambda j, rows: hard_threshold(rows, np.zeros_like(rows)))
 
 
 # site: (call of one integer, its name in messages, low, high or None, a valid value)
