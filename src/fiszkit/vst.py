@@ -41,8 +41,8 @@ class VstState:
         for j, d in enumerate(self.divisors):
             if d.shape != (1 << j,):
                 raise ValueError(f"divisor level {j} must hold {1 << j} values")
-            if not np.all(d > 0):
-                raise ValueError(f"divisors must be strictly positive (level {j})")
+            if not np.all((d > 0) & (d < np.inf)):
+                raise ValueError(f"divisors must be finite and strictly positive (level {j})")
 
 
 def forward_vst(x, hhat: VarianceEstimate,

@@ -11,10 +11,11 @@ from fiszkit import (CoeffPyramid, EstimatorConfig, NoiseModel, SeedSpec, Varian
                      VstState, apply_threshold, denoise_via_vst, dwt_forward, dwt_inverse,
                      estimate, estimate_variance_function, forward_vst, haar, inverse_vst,
                      local_means, make_blocks, sample_noise, textio, universal_factor)
+from fiszkit.cli import write_series
 from fiszkit.estimator import coefficient_sd
 from fiszkit.vst import _divisor_row, divisors_as_lines, divisors_from_lines
 from fiszkit.wavelet import basis_by_name
-from test_cli import BLOCK_EDGES
+from test_cli import BLOCK_EDGES, run_cli
 from test_wavelet import transform_matrix
 
 
@@ -132,6 +133,21 @@ class TestForwardInverse:
             VstState([np.ones(2)], haar())
         with pytest.raises(ValueError):
             VstState([np.array([np.nan])], haar())
+        for bad in (np.inf, -np.inf):  # an infinite divisor was accepted
+            with pytest.raises(ValueError, match=re.escape(
+                    "divisors must be finite and strictly positive (level 1)")):
+                VstState([np.ones(1), np.array([1.0, bad])], haar())
+
+    def test_infinite_divisor_in_a_file_is_data_error(self, tmp_path, capsys):
+        # the inverse used to run and report a coefficient overflow, naming no divisor
+        write_series(tmp_path / "y.txt", np.arange(1.0, 5.0))
+        div = tmp_path / "div.txt"
+        div.write_text("# basis haar\n0 1 inf\n1 1 1\n1 2 1\n")
+        assert run_cli(["vst", "inverse", "--in", tmp_path / "y.txt", "--out", tmp_path / "o.txt",
+                        "--divisors", div]) == 3
+        assert capsys.readouterr().err == ("fiszkit: error: divisors must be finite and strictly "
+                                           "positive (level 0)\n")
+        assert not (tmp_path / "o.txt").exists()
 
     def test_state_leaves_the_callers_list_alone(self):
         divisors = [[2.0], [1.0, 3.0]]
