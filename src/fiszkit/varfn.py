@@ -218,6 +218,7 @@ def pava_isotone(values, weights=None) -> np.ndarray:
 
 def default_bandwidth(alpha_hat, grid_size: int = 256) -> float:
     """Range-based bandwidth ~ 0.2 * range * n^(-1/5), at least one grid cell."""
+    grid_size = _as_integer("grid_size", grid_size, 2)
     alpha_hat = np.asarray(alpha_hat, dtype=float)
     spread = float(alpha_hat.max() - alpha_hat.min())
     if spread <= 0:

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from fiszkit import (EXPONENTIAL, GAUSSIAN, POISSON, EstimatorConfig, NoiseModel, SeedSpec,
-                     VarFnConfig, hard_threshold, make_blocks, make_bumps, make_doppler,
-                     make_heavisine, rescale_to_range, running_mean, sample_noise,
+                     VarFnConfig, default_bandwidth, hard_threshold, make_blocks, make_bumps,
+                     make_doppler, make_heavisine, rescale_to_range, running_mean, sample_noise,
                      true_variance_function, universal_factor)
 from fiszkit.cli import run_bench
 from fiszkit.signals import as_signal
@@ -249,6 +249,8 @@ INTEGER_SITES = {
     "running_mean": (lambda v: running_mean(np.arange(8.0), v), "half_window", 0, None, 1),
     "VarFnConfig half_window": (lambda v: VarFnConfig(half_window=v), "half_window", 0, None, 1),
     "VarFnConfig grid_size": (lambda v: VarFnConfig(grid_size=v), "grid_size", 2, None, 16),
+    "default_bandwidth": (lambda v: default_bandwidth(np.linspace(1.0, 5.0, 64), v), "grid_size",
+                          2, None, 16),
     "EstimatorConfig shift_stride": (lambda v: EstimatorConfig(shift_stride=v), "shift_stride",
                                      1, None, 2),
     "EstimatorConfig max_level": (lambda v: EstimatorConfig(max_level=v), "max_level",
@@ -279,7 +281,7 @@ def test_every_integer_site_takes_the_one_rule(site, value, message):
     Before the rule, ``run_bench(0, ...)`` returned an all-NaN table, a float
     such as 2.0 raised TypeError in ``make_blocks``, ``universal_factor``,
     ``run_bench`` and ``cycle_spin``'s shift count, and ran as ``cycle_spin``'s
-    max_level.
+    max_level. ``default_bandwidth`` divided by a grid size of 0, and took 2.5 or -3.
     """
     call = INTEGER_SITES[site][0]
     if message is not None:
