@@ -57,7 +57,7 @@ def forward_vst(x, hhat: VarianceEstimate,
         d = hhat.sd[hhat.step_index(means(j, 1))]  # one gather, as the fitted thresholds
         if not d.max() < np.inf:  # max propagates NaN
             raise ValueError(f"variance map returned negative or non-finite values at level {j}")
-        if not d.min() > 0:
+        if not d.min() > 0:  # checked before the division, which would warn
             raise ValueError(f"divisors must be strictly positive (level {j})")
         divs.append(d[0])
         return rows / d

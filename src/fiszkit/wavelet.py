@@ -317,8 +317,8 @@ def cycle_spin(x, basis: WaveletBasis, shifts: int, max_level: int, level_fn) ->
     Each depth holds at most n values: O(n log n) time and memory for any
     ``shifts``.
 
-    Returns the averaged signal. Averaged values that overflow raise one
-    ValueError; the rule runs with numpy's overflow and invalid warnings off.
+    Returns the averaged signal. Coefficients or averages that overflow raise
+    one ValueError, and no numpy overflow or invalid warning, the rule's included.
     """
     x = as_signal(x)
     n = x.size
@@ -327,7 +327,7 @@ def cycle_spin(x, basis: WaveletBasis, shifts: int, max_level: int, level_fn) ->
     max_level = _as_integer("max_level", max_level, 1, depth)
     g, h = basis.filter_pair()
     rows = x[None, :] if shifts == 1 else np.stack([x, x])  # row 1: the child, built below
-    kept = []  # per depth: the rule's detail rows, None where the level is zeroed
+    kept = []  # per depth: the rule's detail rows, or 0.0 where the level is zeroed
     for d in range(depth):
         j = depth - 1 - d
         parents = min(shifts, 1 << d)
@@ -338,9 +338,9 @@ def cycle_spin(x, basis: WaveletBasis, shifts: int, max_level: int, level_fn) ->
         ruled = j < max_level
         step = _analysis_step(rows, g, h if ruled else None, out=table[:rows.shape[0]])
         rows = table  # the analysed rows are freed before the rule runs
-        kept.append(level_fn(j, step[1]) if ruled else None)
+        kept.append(level_fn(j, step[1]) if ruled else 0.0)
     for d in reversed(range(depth)):
-        y = _synthesis_rows(rows, 0.0 if kept[d] is None else kept[d], g, h)
+        y = _synthesis_rows(rows, kept[d], g, h)
         parents = min(shifts, 1 << d)
         odd = y.shape[0] - parents
         q, m = divmod(shifts, 2 << d)
