@@ -1,14 +1,14 @@
 """Wavelet-domain variance stabilisation driven by the fitted variance map.
 
 The forward transform divides every detail coefficient by the estimated
-standard deviation of that coefficient (square root of the fitted
-variance map at the coefficient's local data mean), leaving the smooth
-coefficient alone: one unshifted :func:`fiszkit.wavelet.cycle_spin` pass
-whose level rule divides where the denoiser's shrinks. Each level gathers
-its divisors from the floored sds of the fitted steps, ``VarianceEstimate.sd``,
-the ones the fitted thresholds scale. Multiplying back by the recorded divisors
-inverts it exactly, and composing it with universal-threshold shrinkage
-reproduces the mean-linked denoiser coefficient for coefficient.
+standard deviation of that coefficient (square root of the fitted variance
+map at the coefficient's unshifted local data mean), leaving the smooth
+coefficient alone. The divisors, gathered from the floored sds of the fitted
+steps, ``VarianceEstimate.sd``, as the fitted thresholds are, form a checked
+:class:`VstState` before one unshifted :func:`fiszkit.wavelet.cycle_spin`
+pass divides by them; the inverse is the same pass multiplying by them.
+Composing the two with universal-threshold shrinkage reproduces the
+mean-linked denoiser coefficient for coefficient.
 """
 
 from __future__ import annotations
@@ -23,47 +23,45 @@ from .estimator import EstimatorConfig, estimate
 from .signals import as_signal
 from .textio import data_rows, first_rejected, level_blocks, line_blocks
 from .varfn import VarianceEstimate, estimate_variance_function
-from .wavelet import WaveletBasis, basis_by_name, cycle_spin, haar, shifted_local_means
+from .wavelet import WaveletBasis, basis_by_name, cycle_spin, haar, local_means
 
 __all__ = ["VstState", "forward_vst", "inverse_vst", "denoise_via_vst",
            "divisors_as_lines", "divisors_from_lines"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class VstState:
-    """Everything needed to undo a forward stabilisation pass."""
+    """Everything needed to undo a forward pass: 2^j checked divisors per level j.
 
-    divisors: list[np.ndarray]
+    Kept as read-only float copies, in a pickled or copied state too, so the
+    state cannot change after its check.
+    """
+
+    divisors: tuple[np.ndarray, ...]
     basis: WaveletBasis
 
     def __post_init__(self):
-        self.divisors = [np.asarray(d, dtype=float) for d in self.divisors]
-        for j, d in enumerate(self.divisors):
+        divisors = tuple(np.array(d, dtype=float) for d in self.divisors)
+        for j, d in enumerate(divisors):
             if d.shape != (1 << j,):
                 raise ValueError(f"divisor level {j} must hold {1 << j} values")
             if not np.all((d > 0) & (d < np.inf)):
                 raise ValueError(f"divisors must be finite and strictly positive (level {j})")
+            d.flags.writeable = False
+        object.__setattr__(self, "divisors", divisors)
+
+    def __reduce__(self):
+        """Pickle and copy by the init fields, so a copy's divisors are read-only too."""
+        return type(self), (self.divisors, self.basis)
 
 
 def forward_vst(x, hhat: VarianceEstimate,
                 basis: WaveletBasis | None = None) -> tuple[np.ndarray, VstState]:
-    """Divide every detail coefficient by its estimated sd, checked once per level."""
-    x = as_signal(x)
+    """Divide each detail coefficient by its sd, gathered and checked in a ``VstState`` first."""
     basis = basis or haar()
-    means = shifted_local_means(x, basis)
-    divs = []  # finest level first
-
-    def divide(j, rows):
-        d = hhat.sd[hhat.step_index(means(j, 1))]  # one gather, as the fitted thresholds
-        if not d.max() < np.inf:  # max propagates NaN
-            raise ValueError(f"variance map returned negative or non-finite values at level {j}")
-        if not d.min() > 0:  # checked before the division, which would warn
-            raise ValueError(f"divisors must be strictly positive (level {j})")
-        divs.append(d[0])
-        return rows / d
-
-    xt = cycle_spin(x, basis, 1, x.size.bit_length() - 1, divide)
-    return xt, VstState(divs[::-1], basis)
+    state = VstState([hhat.sd[hhat.step_index(lm)] for lm in local_means(x, basis)], basis)
+    return cycle_spin(x, basis, 1, len(state.divisors),
+                      lambda j, rows: rows / state.divisors[j]), state
 
 
 def inverse_vst(y, state: VstState) -> np.ndarray:

@@ -603,7 +603,7 @@ class TestEstimate:
 
     @pytest.mark.parametrize("route, bound", [
         ("estimate haar", 26.29), ("estimate daub8", 29.79), ("estimate --no-ti", 9.53),
-        ("forward_vst haar", 7.01), ("forward_vst daub8", 7.52),
+        ("forward_vst haar", 5.01), ("forward_vst daub8", 5.52),
         ("inverse_vst haar", 5.01), ("inverse_vst daub8", 5.52),
         ("baseline_mad_estimate stride 16", 19.95)])
     def test_peak_memory_is_pinned(self, route, bound):

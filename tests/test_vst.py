@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import re
 import warnings
 from unittest import mock
@@ -156,17 +159,36 @@ class TestForwardInverse:
         assert divisors == [[2.0], [1.0, 3.0]]
         assert [d.tolist() for d in state.divisors] == divisors
 
+    def test_state_cannot_change_after_its_check(self):
+        # the state kept the caller's arrays, and a later write reached inverse_vst unchecked
+        divisors = [np.array([2.0]), np.array([1.0, 3.0])]
+        state = VstState(divisors, haar())
+        y = np.arange(1.0, 5.0)
+        want = inverse_vst(y, state)
+        divisors[1][0] = -1.0
+        with pytest.raises(ValueError, match="read-only"):
+            state.divisors[0][0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            state.divisors = (np.zeros(1),)
+        for twin in (state, pickle.loads(pickle.dumps(state)), copy.deepcopy(state),
+                     copy.copy(state)):
+            assert isinstance(twin.divisors, tuple)
+            assert not any(d.flags.writeable for d in twin.divisors)
+            assert inverse_vst(y, twin).tobytes() == want.tobytes()
+
     def test_non_finite_variance_rejected(self):
         hhat = VarianceEstimate(np.array([0.0, 1.0]), np.array([1.0, np.inf]), 1e-12)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(
+                "divisors must be finite and strictly positive (level 0)")):
             forward_vst(np.linspace(0.5, 1.5, 16), hhat)
 
     def test_zero_divisor_rejected_before_dividing(self):
         hhat = VarianceEstimate(np.array([0.0, 1.0]), np.array([0.0, 0.0]), 0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no divide-by-zero warning before the error
-            with pytest.raises(ValueError,
-                               match=r"^divisors must be strictly positive \(level \d+\)$"):
+            # every level is zero; the state's check names the coarsest
+            with pytest.raises(ValueError, match=r"^divisors must be finite and strictly "
+                                                 r"positive \(level 0\)$"):
                 forward_vst(np.linspace(0.5, 1.5, 16), hhat)
 
     def test_data_near_float_max_is_local_means_overflow(self):
