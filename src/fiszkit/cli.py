@@ -26,7 +26,7 @@ import numpy as np
 from .estimator import _RULES, EstimatorConfig, baseline_mad_estimate, estimate
 from .signals import (GAUSSIAN, NOISE_KINDS, SIGNAL_GENERATORS, NoiseModel, SeedSpec,
                       _as_integer, _check_length, sample_noise, true_variance_function)
-from .textio import data_rows, first_rejected, format_blocks, level_blocks, line_blocks
+from .textio import format_blocks, level_blocks, line_blocks
 from .varfn import VarFnConfig, VarianceEstimate, estimate_variance_function
 from .vst import divisors_as_lines, divisors_from_lines, forward_vst, inverse_vst
 from .wavelet import BASIS_NAMES, basis_by_name
@@ -42,11 +42,12 @@ BENCH_METHODS = ("mad-baseline", "wavefisz")
 # ----------------------------------------------------------------- file I/O
 
 def read_series(path) -> np.ndarray:
-    """Read a one-value-per-line series; parse errors carry line numbers.
+    """Read a one-value-per-line series; a parse error names the first faulty line.
 
     Each line is stripped of surrounding whitespace; blank lines and
     whole-line ``#`` comments are skipped; every other line must be one
-    number as Python's ``float`` reads it.
+    number as Python's ``float`` reads it. Each block of lines is converted
+    in one call, and read line by line, in file order, only if that fails.
     """
     with open(path, encoding="utf-8-sig") as f:
         blocks = [_series_block(path, start, block) for start, block in line_blocks(f)]
@@ -56,17 +57,19 @@ def read_series(path) -> np.ndarray:
 
 
 def _series_block(path, start: int, block: list[str]) -> np.ndarray:
-    """The values of one block; the per-line passes run only if its one conversion fails."""
+    """The values of one block; read line by line, in file order, if its one conversion fails."""
     try:
         return np.array(block, dtype=float)
     except ValueError:
-        rows, numbers = data_rows(block, start)
-    try:
-        return np.array(rows, dtype=float)
-    except ValueError:
-        row, _ = first_rejected(rows, float)
-        raise ValueError(f"{path}:{numbers[row]}: cannot parse {rows[row]!r} "
-                         "as a number") from None
+        pass  # a comment, a blank line or a bad row
+    values = []
+    for number, line in enumerate(map(str.strip, block), start):
+        if line and line[0] != "#":
+            try:
+                values.append(float(line))
+            except ValueError:
+                raise ValueError(f"{path}:{number}: cannot parse {line!r} as a number") from None
+    return np.array(values, dtype=float)
 
 
 def write_series(path, values, header=()) -> None:

@@ -8,10 +8,11 @@ comment, so ``1.5 # c`` is a parse error.
 
 Files stream through blocks of ``BLOCK_ROWS`` raw lines, one conversion or
 formatting call per block, so O(``BLOCK_ROWS``) strings are alive at once.
-The per-line passes run only inside a block whose one call failed: one
-with a comment (a file's header costs one block), a blank line or a bad
-row. ``float`` strips a subset of what ``str.strip`` does, so a block it
-accepts whole reads as its stripped rows do.
+A reader reads a block line by line, in file order, only if its one call
+failed: a block with a comment (a file's header costs one block), a blank
+line or a bad row. It raises at the first faulty line. ``float`` strips a
+subset of what ``str.strip`` does, so a block it accepts whole reads as
+its stripped lines do.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-__all__ = ["line_blocks", "format_blocks", "level_blocks", "data_rows", "first_rejected"]
+__all__ = ["line_blocks", "format_blocks", "level_blocks"]
 
 BLOCK_ROWS = 1 << 13
 
@@ -47,25 +48,3 @@ def level_blocks(fmt: str, *levels):
     for j, cols in enumerate(zip(*levels)):
         yield from format_blocks(f"{j} %d {fmt}", np.arange(1, cols[0].size + 1), *cols)
 
-
-def data_rows(lines, start: int) -> tuple[list[str], list[int]]:
-    """The data rows among ``lines``, stripped, and their line numbers (the first is ``start``).
-
-    A data row is a stripped line that is neither empty nor starts with ``#``.
-    """
-    numbered = [(s, i) for i, s in enumerate(map(str.strip, lines), start) if s and s[0] != "#"]
-    return [s for s, _ in numbered], [i for _, i in numbered]
-
-
-def first_rejected(rows: list[str], check) -> tuple[int, Exception]:
-    """Index of the first row that ``check`` raises on, and what it raised.
-
-    The per-row scan that names a bad line once a whole-block conversion
-    has failed; ``check`` is the one-row definition that conversion follows.
-    """
-    for i, s in enumerate(rows):
-        try:
-            check(s)
-        except (ValueError, OverflowError) as exc:
-            return i, exc
-    raise AssertionError("a whole-block conversion failed on rows that all pass alone")

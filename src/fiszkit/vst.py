@@ -21,7 +21,7 @@ import numpy as np
 
 from .estimator import EstimatorConfig, estimate
 from .signals import as_signal
-from .textio import data_rows, first_rejected, level_blocks, line_blocks
+from .textio import level_blocks, line_blocks
 from .varfn import VarianceEstimate, estimate_variance_function
 from .wavelet import WaveletBasis, basis_by_name, cycle_spin, haar, local_means
 
@@ -102,16 +102,17 @@ def divisors_as_lines(state: VstState) -> Iterator[str]:
 _MAX_LEVEL = 62  # deepest level whose 2^j positions fit an int64
 
 
-def _divisor_row(s: str) -> None:
-    """Check one ``j k value`` row on its own: the rule every row must pass."""
+def _divisor_row(s: str) -> tuple[int, float]:
+    """The flat index 2^j - 2 + k and value of one ``j k value`` row: the rule every row passes."""
     fields = s.split()
     if len(fields) != 3:
         raise ValueError(f"expected 3 fields 'j k value', found {len(fields)}")
     j, k = int(fields[0]), int(fields[1])
-    float(fields[2])
+    value = float(fields[2])
     if not (0 <= j <= _MAX_LEVEL and 1 <= k <= 1 << j):
         raise ValueError(f"({j}, {k}) names no divisor: "
                          f"need 0 <= j <= {_MAX_LEVEL} and 1 <= k <= 2^j")
+    return (1 << j) - 2 + k, value
 
 
 def _divisor_columns(rows: list[str]):
@@ -139,23 +140,31 @@ def _position(f: int) -> tuple[int, int]:
     return j, f + 2 - (1 << j)
 
 
-def _basis_comments(source, lines, start: int, basis):
-    """Check the ``# basis`` comments of ``lines`` (line ``start`` first) against ``basis``.
+def _divisor_lines(source, start: int, block: list[str], basis):
+    """Read ``block`` (line ``start`` first) line by line, in file order, up to its first fault.
 
-    Returns the first (name, line number) so far.
+    Returns each data line's (line number, flat index, value), and the first
+    ``# basis`` (name, line number) so far, which each such comment must match.
     """
-    for number, line in [(i, s.strip()) for i, s in enumerate(lines, start)
-                         if s.lstrip()[:1] == "#"]:
-        words = line[1:].split()
-        if words[:1] != ["basis"]:
-            continue
-        if len(words) != 2:
-            raise ValueError(f"{source}:{number}: expected '# basis NAME', found {line!r}")
-        if basis and basis[0] != words[1]:
-            raise ValueError(f"{source}:{number}: basis {words[1]} conflicts with "
-                             f"basis {basis[0]} on line {basis[1]}")
-        basis = basis or (words[1], number)
-    return basis
+    rows = []
+    for number, line in enumerate(map(str.strip, block), start):
+        if line[:1] == "#":
+            words = line[1:].split()
+            if words[:1] != ["basis"]:
+                continue
+            if len(words) != 2:
+                raise ValueError(f"{source}:{number}: expected '# basis NAME', found {line!r}")
+            if basis and basis[0] != words[1]:
+                raise ValueError(f"{source}:{number}: basis {words[1]} conflicts with "
+                                 f"basis {basis[0]} on line {basis[1]}")
+            basis = basis or (words[1], number)
+        elif line:
+            try:
+                rows.append((number, *_divisor_row(line)))
+            except ValueError as exc:
+                raise ValueError(f"{source}:{number}: cannot read {line!r} as a divisor: "
+                                 f"{exc}") from None
+    return rows, basis
 
 
 def divisors_from_lines(lines) -> VstState:
@@ -167,22 +176,19 @@ def divisors_from_lines(lines) -> VstState:
     with its line number; a missing index as ``missing divisor (j, k)``.
     A comment whose first word is ``basis`` must be ``# basis NAME``, and
     every such line must name the same basis; a file without one is haar.
+    A block of lines that fails its one conversion is read line by line, in
+    file order, so its first unreadable row or faulty basis line is reported.
     """
     source = getattr(lines, "name", "divisor file")
     basis, blocks, numbers = None, [], []  # basis: the first (name, line number)
     for start, block in line_blocks(lines):
         columns, block_numbers = _divisor_columns(block), range(start, start + len(block))
         if columns is None:
-            rows, block_numbers = data_rows(block, start)
-            columns = _divisor_columns(rows)
-            if columns is None and rows:  # a fault above the first bad row is reported first
-                row, exc = first_rejected(rows, _divisor_row)
-                _basis_comments(source, block[:block_numbers[row] - start], start, basis)
-                raise ValueError(f"{source}:{block_numbers[row]}: cannot read {rows[row]!r} "
-                                 f"as a divisor: {exc}")
-            basis = _basis_comments(source, block, start, basis)
+            rows, basis = _divisor_lines(source, start, block, basis)
             if not rows:
                 continue
+            block_numbers, flat, values = zip(*rows)
+            columns = np.array(flat, dtype=np.int64), np.array(values, dtype=float)
         blocks.append(columns)
         numbers.append(block_numbers)
     if not blocks:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fiszkit import textio
-from fiszkit.textio import data_rows, format_blocks, level_blocks, line_blocks
+from fiszkit.textio import format_blocks, level_blocks, line_blocks
 
 ANY_FLOAT = st.floats(width=64)
 
@@ -49,11 +49,6 @@ class TestLevelBlocks:
 
 
 class TestDataRows:
-    def test_skips_blank_and_comment_lines_and_numbers_the_rest(self):
-        lines = ["# h\n", " 1.5 \r\n", "\n", "  # c\n", "\t\n", "2 # not a comment\n", "3"]
-        assert data_rows(lines, 1) == (["1.5", "2 # not a comment", "3"], [2, 6, 7])
-        assert data_rows(lines, 11)[1] == [12, 16, 17]
-
     def test_line_blocks_number_their_first_lines(self):
         lines = [f"{i}\n" for i in range(1, 8)]
         with mock.patch.object(textio, "BLOCK_ROWS", 3):
