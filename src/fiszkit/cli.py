@@ -231,7 +231,7 @@ def cmd_vst_inverse(args, _cfg: None) -> int:
 
 # -------------------------------------------------------------- benchmark
 
-@dataclass
+@dataclass(eq=False)
 class BenchReport:
     """Per-cell mean squared errors of the two methods, with standard errors."""
 

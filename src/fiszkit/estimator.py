@@ -105,7 +105,7 @@ class EstimatorConfig:
         return _as_integer("max_level", max_level, 1, depth)
 
 
-@dataclass
+@dataclass(eq=False)
 class EstimateResult:
     """Denoised signal plus the thresholding evidence of the unshifted pass.
 

@@ -63,7 +63,7 @@ def running_mean(x, half_window: int) -> np.ndarray:
     return np.convolve(padded, np.full(w, 1.0 / w), mode="valid")
 
 
-@dataclass
+@dataclass(eq=False)
 class PreliminaryFit:
     """Running-mean fit of a signal plus its squared residuals."""
 
@@ -257,7 +257,7 @@ class VarFnConfig:
                              f"{min_len} samples")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VarianceEstimate:
     """Nondecreasing step estimate of the mean-to-variance map.
 
@@ -279,7 +279,7 @@ class VarianceEstimate:
     bandwidth: float = float("nan")
     half_window: int = -1
     populated: Optional[np.ndarray] = None
-    sd: np.ndarray = field(init=False, repr=False, compare=False)
+    sd: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         g, v = (np.array(a, dtype=float) for a in (self.grid_u, self.values))

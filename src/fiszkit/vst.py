@@ -29,7 +29,7 @@ __all__ = ["VstState", "forward_vst", "inverse_vst", "denoise_via_vst",
            "divisors_as_lines", "divisors_from_lines"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VstState:
     """Everything needed to undo a forward pass: 2^j checked divisors per level j.
 

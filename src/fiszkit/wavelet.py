@@ -99,7 +99,7 @@ def basis_by_name(name: str) -> WaveletBasis:
     return _BASES[name]
 
 
-@dataclass
+@dataclass(eq=False)
 class CoeffPyramid:
     """Wavelet coefficients of a length-2^J signal.
 

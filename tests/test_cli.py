@@ -1,5 +1,7 @@
 import codecs
 import contextlib
+import copy
+import dataclasses
 import io
 import os
 import subprocess
@@ -16,9 +18,10 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fiszkit import (EstimatorConfig, NoiseModel, SeedSpec, estimate, make_blocks, make_bumps,
-                     make_doppler, make_heavisine, sample_noise, textio)
-from fiszkit.cli import main, read_series, write_series
+from fiszkit import (CoeffPyramid, EstimateResult, EstimatorConfig, NoiseModel, PreliminaryFit,
+                     SeedSpec, VarianceEstimate, VstState, estimate, haar, make_blocks,
+                     make_bumps, make_doppler, make_heavisine, sample_noise, textio)
+from fiszkit.cli import BenchReport, main, read_series, write_series
 from fiszkit.signals import NOISE_KINDS
 from fiszkit.vst import divisors_from_lines
 from fiszkit.wavelet import BASIS_NAMES
@@ -581,6 +584,26 @@ def test_import_leaves_the_process_pool_unloaded():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           check=True)
     assert done.stdout.strip() == "[]"
+
+
+ARRAY_HOLDERS = {
+    "VstState": lambda: VstState([np.ones(1), np.ones(2)], haar()),
+    "VarianceEstimate": lambda: VarianceEstimate([0.0, 1.0], [1.0, 2.0], 1e-9),
+    "EstimateResult": lambda: EstimateResult(np.ones(2), [np.ones(1)], [np.ones(1, bool)],
+                                             None, 1),
+    "CoeffPyramid": lambda: CoeffPyramid([np.ones(1), np.ones(2)], 1.0),
+    "PreliminaryFit": lambda: PreliminaryFit(np.ones(2), np.ones(2)),
+    "BenchReport": lambda: BenchReport(2, 8, 0, {("blocks", "poisson", "fisz"): np.ones(2)}),
+}
+
+
+@pytest.mark.parametrize("make", ARRAY_HOLDERS.values(), ids=ARRAY_HOLDERS)
+def test_array_holders_compare_and_hash_by_identity(make):
+    # comparing with a copy used to raise ValueError (an array's truth value), hashing TypeError
+    obj = make()
+    twin = copy.deepcopy(obj)
+    assert obj == obj and twin != obj and obj != dataclasses.replace(obj)
+    assert len({obj, twin, obj}) == 2
 
 
 ESTIMATE_FLAGS = st.tuples(
