@@ -314,6 +314,17 @@ class TestSerialization:
                                              f".*{reason}"):
             divisors_from_lines(lines)
 
+    @pytest.mark.parametrize("text", ["", "# basis daub8\n", "# c\n\n  \r\n# basis haar\n\t"],
+                             ids=["empty", "basis-line-only", "comments-and-blank-lines"])
+    def test_file_without_a_row_is_empty(self, tmp_path, capsys, text):
+        div = tmp_path / "div.txt"
+        div.write_bytes(text.encode("utf-8"))
+        assert assert_blocks_read_like_oracle(div) == "empty divisor file"
+        write_series(tmp_path / "y.txt", np.ones(2))
+        assert run_cli(["vst", "inverse", "--in", tmp_path / "y.txt", "--out", tmp_path / "o.txt",
+                        "--divisors", div]) == 3
+        assert capsys.readouterr().err == "fiszkit: error: empty divisor file\n"
+
     def test_duplicate_is_rejected_at_its_second_line(self):
         lines = ["# basis haar", "1 2 1.0", "0 1 1.0", "# c", "1 1 1.0", "1 2 5.0"]
         with pytest.raises(ValueError, match=r"^divisor file:6: duplicate divisor \(1, 2\)$"):
